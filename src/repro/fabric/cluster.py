@@ -18,11 +18,10 @@ This is ROADMAP item 1's datacenter layer on top of the single-rack
   their progress rates as per-node background offsets
   (:meth:`~repro.fabric.cosim.RackCoSimulator.set_background_offset`).
 
-Scaling comes from three mechanisms, all testable against their slow
+Scaling comes from two mechanisms, both testable against their slow
 reference paths: the batched vectorized solver (``solver="scalar"`` falls
-back to per-rack reference solves), the racks' dirty-epoch skip (a rack whose
-demand vector is unchanged is not re-solved at rollover), and per-rack
-contention caches (:meth:`ClusterFabric.enable_solver_cache`).
+back to per-rack reference solves) and the racks' dirty-epoch skip (a rack
+whose demand vector is unchanged is not re-solved at rollover).
 
 Spine coupling model
 --------------------
@@ -55,7 +54,6 @@ from .cosim import EpochCheckpoint, RackCoSimulator, TenantSpec
 from .faults import BlastRadiusReport, FaultSchedule, TenantImpact
 from .pool import LEASE_GRANTED, LEASE_QUEUED, LEASE_REJECTED, MemoryPool
 from .solver import (
-    DEFAULT_CACHE_QUANTUM,
     SOLVER_SCALAR,
     SOLVER_VECTORIZED,
     solve_fixed_point,
@@ -173,14 +171,6 @@ class ClusterFabric:
                 f"rack {index} is not part of this {self.n_racks}-rack cluster"
             )
         return self.racks[index]
-
-    def enable_solver_cache(
-        self, maxsize: int = 4096, quantum: float = DEFAULT_CACHE_QUANTUM
-    ) -> None:
-        """Attach a contention cache to every rack topology (see
-        :meth:`~repro.fabric.topology.FabricTopology.enable_solver_cache`)."""
-        for rack in self.racks:
-            rack.enable_solver_cache(maxsize=maxsize, quantum=quantum)
 
     # -- whole-cluster demand resolution ---------------------------------------------
 

@@ -205,6 +205,9 @@ class _TenantState:
         self.finish_time: Optional[float] = None
         self.background_times: list[float] = []
         self.background_bandwidths: list[float] = []
+        #: One-slot memo of the last rate-model solve: (phase profile,
+        #: background, unit time).  See RackCoSimulator._unit_time.
+        self.unit_time_memo: Optional[tuple[_PhaseProfile, float, float]] = None
         # Fault bookkeeping (all zero/None on the fault-free path).
         self.stall_seconds = 0.0  # wall time lost to faults
         self.migration_debt = 0.0  # page give-back drain still owed, wall-seconds
@@ -646,7 +649,10 @@ class RackCoSimulator:
         Tenants sharing the same workload object and local fraction are
         behaviourally identical, so their (expensive) baseline engine run is
         computed once and shared — the common many-identical-tenants sweep
-        profiles O(unique specs) instead of O(tenants).
+        profiles O(unique specs) instead of O(tenants).  Entries hold the
+        workload they were profiled from and are reused only for that very
+        object: the key carries ``id(workload)``, and a later workload may be
+        allocated at the address of one that has since been freed.
         """
         spec = state.spec
         # Contention during the co-simulation is resolved on the tenant's pool
@@ -655,7 +661,8 @@ class RackCoSimulator:
         port_link = self.topology.link_of(state.node)
         state.perf = PerformanceModel(self.testbed, port_link)
         key = (id(spec.workload), spec.local_fraction)
-        if key not in cache:
+        entry = cache.get(key)
+        if entry is None or entry[0] is not spec.workload:
             metrics().counter("fabric.profile.runs").inc()
             with trace_span("fabric.profile", workload=spec.workload.name):
                 platform = Platform.pooled(
@@ -678,16 +685,29 @@ class RackCoSimulator:
                         profile, unit_time_idle=self._unit_time(state, profile, 0.0)
                     )
                 )
-            cache[key] = (platform, tuple(profiles))
+            entry = cache[key] = (spec.workload, platform, tuple(profiles))
         else:
             metrics().counter("fabric.profile.cache_hits").inc()
-        state.platform, state.phases = cache[key]
+        _, state.platform, state.phases = entry
+        state.unit_time_memo = None
         state.baseline_runtime = float(sum(p.runtime for p in state.phases))
 
     def _unit_time(
         self, state: _TenantState, profile: _PhaseProfile, background: float
     ) -> float:
-        """Wall time for one baseline-second of a phase under ``background``."""
+        """Wall time for one baseline-second of a phase under ``background``.
+
+        The rate model is a pure function of the tenant's port link, the
+        phase and the background: links never change, port degrades reach a
+        tenant only through its background, and kills and revocations are
+        explicit 0.0 rates that never get here.  So each tenant keeps its
+        last answer in a one-slot memo keyed on the profile object and the
+        background, and pays one solve per phase or background change
+        instead of one per rate query.
+        """
+        memo = state.unit_time_memo
+        if memo is not None and memo[0] is profile and memo[1] == background:
+            return memo[2]
         runtime = max(profile.runtime, 1e-12)
         inputs = PhaseInputs(
             flops=profile.flops / runtime,
@@ -697,7 +717,9 @@ class RackCoSimulator:
             mlp=profile.mlp,
             background_bandwidth=background,
         )
-        return max(state.perf.phase_time(inputs).runtime, 1e-12)
+        unit_time = max(state.perf.phase_time(inputs).runtime, 1e-12)
+        state.unit_time_memo = (profile, background, unit_time)
+        return unit_time
 
     def _progress_rate(self, state: _TenantState, profile: _PhaseProfile, background: float) -> float:
         """Baseline-seconds of phase progress per wall-clock second.

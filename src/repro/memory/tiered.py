@@ -102,6 +102,12 @@ class TieredMemory:
             extra = np.full(total - len(self._page_tier), UNPLACED, dtype=np.int8)
             self._page_tier = np.concatenate([self._page_tier, extra])
 
+    def _page_view(self, obj: MemoryObject) -> np.ndarray:
+        """View of the page table over ``obj``'s contiguous page range."""
+        if not obj.registered:
+            raise AllocationError(f"object {obj.name!r} is not registered")
+        return self._page_tier[obj.first_page : obj.first_page + obj.n_pages]
+
     def _free_pages_in(self, tier: int) -> int:
         """How many whole pages still fit in ``tier``."""
         return max(self._usage[tier].free_bytes // self.page_bytes, 0)
@@ -137,8 +143,7 @@ class TieredMemory:
         array in place).
         """
         self._grow_page_table()
-        pages = obj.page_range()
-        unplaced = pages[self._page_tier[pages] == UNPLACED]
+        unplaced = np.flatnonzero(self._page_view(obj) == UNPLACED) + obj.first_page
         if len(unplaced) == 0:
             return self.placement_of(obj)
 
@@ -244,7 +249,7 @@ class TieredMemory:
     def placement_of(self, obj: MemoryObject) -> np.ndarray:
         """Tier index of each page of ``obj`` (UNPLACED for untouched pages)."""
         self._grow_page_table()
-        return self._page_tier[obj.page_range()].copy()
+        return self._page_view(obj).copy()
 
     def page_tiers(self) -> np.ndarray:
         """Tier index of every page in the address space."""

@@ -170,7 +170,10 @@ class ExecutionEngine:
 
         The profile is placement-independent: it reflects how the workload
         spreads its traffic over its own footprint, which is what the
-        bandwidth-capacity scaling curve visualises.
+        bandwidth-capacity scaling curve visualises.  Every page of every
+        object with traffic is listed, zero-count pages included; counts sum
+        in phase and object order, exactly as folding per-object profiles
+        with :meth:`PageAccessProfile.merged` would.
         """
         rng = np.random.default_rng(self.seed)
         space = AddressSpace(
@@ -179,7 +182,8 @@ class ExecutionEngine:
         )
         objects = {o.name: o for o in space.register_all(spec.fresh_objects())}
         selected = set(phases) if phases is not None else None
-        profile = PageAccessProfile(np.empty(0, dtype=np.int64), np.empty(0))
+        counts = np.zeros(space.total_pages, dtype=np.float64)
+        touched = np.zeros(space.total_pages, dtype=bool)
         for phase in spec.phases:
             if selected is not None and phase.name not in selected:
                 continue
@@ -191,9 +195,11 @@ class ExecutionEngine:
                 if traffic_lines <= 0 or obj.n_pages == 0:
                     continue
                 weights = obj.pattern.page_weights(obj.n_pages, rng)
-                counts = weights * traffic_lines
-                profile = profile.merged(PageAccessProfile(obj.page_range(), counts))
-        return profile
+                pages = slice(obj.first_page, obj.first_page + obj.n_pages)
+                counts[pages] += weights * traffic_lines
+                touched[pages] = True
+        page_ids = np.flatnonzero(touched)
+        return PageAccessProfile(page_ids, counts[page_ids])
 
     def l2_timeline(
         self,

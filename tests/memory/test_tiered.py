@@ -223,6 +223,27 @@ class TestQueries:
         assert info["migrations"] == 0
         assert len(info["tiers"]) == 2
 
+    def test_unregistered_object_raises(self):
+        a = obj("a", 2)
+        _, memory = build(4, 4, [a])
+        stray = obj("stray", 2)
+        with pytest.raises(AllocationError, match="not registered"):
+            memory.placement_of(stray)
+        with pytest.raises(AllocationError, match="not registered"):
+            memory.touch(stray)
+        assert memory.usage[0].used_bytes == 0
+
+    def test_placement_of_is_a_copy_of_the_objects_pages(self):
+        a, b = obj("a", 3), obj("b", 3)
+        _, memory = build(4, 4, [a, b])
+        memory.touch(a)
+        np.testing.assert_array_equal(memory.placement_of(b), [UNPLACED] * 3)
+        placement = memory.placement_of(a)
+        placement[:] = 1
+        np.testing.assert_array_equal(memory.placement_of(a), [0, 0, 0])
+        memory.touch(b)
+        np.testing.assert_array_equal(memory.placement_of(b), [0, 1, 1])
+
     def test_reserved_bytes_validation(self):
         a = obj("a", 2)
         space = AddressSpace(page_bytes=PAGE)

@@ -5,7 +5,9 @@ import pytest
 
 from repro.cache import events
 from repro.sim import ConstantInterference, ExecutionEngine, Platform
-from repro.workloads import build_workload
+from repro.memory.objects import AddressSpace
+from repro.trace.access import PageAccessProfile
+from repro.workloads import build_workload, workload_names
 from repro.workloads.base import PhaseSpec, WorkloadSpec
 from repro.memory.objects import MemoryObject
 from repro.trace.patterns import SequentialPattern
@@ -237,3 +239,40 @@ class TestDerivedOutputs:
             result.placement("nothing")
         assert result.phase_label("p2") == "tiny-p2"
         assert result.summary()["workload"] == "tiny"
+
+
+def folded_access_profile(engine, spec, phases=None):
+    """Reference access profile: a fold of per-object profiles via ``merged``."""
+    rng = np.random.default_rng(engine.seed)
+    testbed = engine.platform.testbed
+    space = AddressSpace(page_bytes=testbed.page_bytes, line_bytes=testbed.cacheline_bytes)
+    objects = {o.name: o for o in space.register_all(spec.fresh_objects())}
+    profile = PageAccessProfile(np.empty(0, dtype=np.int64), np.empty(0))
+    for phase in spec.phases:
+        if phases is not None and phase.name not in phases:
+            continue
+        for name, fraction in phase.object_traffic.items():
+            obj = objects[name]
+            traffic_lines = phase.dram_bytes * fraction / testbed.cacheline_bytes
+            if traffic_lines <= 0 or obj.n_pages == 0:
+                continue
+            weights = obj.pattern.page_weights(obj.n_pages, rng)
+            profile = profile.merged(PageAccessProfile(obj.page_range(), weights * traffic_lines))
+    return profile
+
+
+@pytest.mark.parametrize("subset", [False, True], ids=["all-phases", "subset"])
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+@pytest.mark.parametrize("name", workload_names())
+def test_access_profile_matches_merged_fold_bit_for_bit(name, scale, subset):
+    spec = build_workload(name, scale)
+    phases = [p.name for p in spec.phases[1:]] if subset else None
+    if subset and not phases:
+        phases = [spec.phases[0].name]
+    engine = ExecutionEngine(Platform.local_only(), seed=3)
+    profile = engine.access_profile(spec, phases=phases)
+    expected = folded_access_profile(engine, spec, phases=phases)
+    assert profile.page_ids.dtype == expected.page_ids.dtype
+    assert profile.counts.dtype == expected.counts.dtype
+    assert profile.page_ids.tobytes() == expected.page_ids.tobytes()
+    assert profile.counts.tobytes() == expected.counts.tobytes()
