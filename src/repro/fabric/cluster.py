@@ -200,26 +200,8 @@ class ClusterFabric:
         (their values stay within solver tolerance of an early-stopped
         per-rack solve).
         """
-        if len(demands) != self.n_racks:
-            raise FabricError(
-                f"expected {self.n_racks} demand maps, got {len(demands)}"
-            )
-        solver = validate_solver(solver if solver is not None else self.solver)
-        if solver == SOLVER_SCALAR:
-            diags = tuple(
-                rack.resolve_detailed(
-                    rack_demands, iterations, damping, tolerance, solver=SOLVER_SCALAR
-                )
-                for rack, rack_demands in zip(self.racks, demands)
-            )
-            return ClusterSolve(
-                racks=diags,
-                iterations=max(d.iterations for d in diags),
-                converged=all(d.converged for d in diags),
-                residual=max(d.residual for d in diags),
-            )
-        return self.resolve_racks(
-            range(self.n_racks), demands, iterations, damping, tolerance
+        return self._resolve(
+            range(self.n_racks), demands, iterations, damping, tolerance, solver
         )
 
     def resolve_racks(
@@ -230,16 +212,42 @@ class ClusterFabric:
         damping: Optional[float] = None,
         tolerance: float = 1e6,
     ) -> ClusterSolve:
-        """One batched NumPy solve across a subset of racks' demand maps.
+        """Resolve a subset of racks' demand maps with the fabric's solver.
 
         ``demands[i]`` belongs to rack ``indices[i]``; the returned
         :class:`ClusterSolve` carries diagnostics in the same order.  This is
-        the kernel behind both :meth:`resolve_all` (all racks) and the
-        cluster stepper's batched epoch rollover (dirty racks only).
+        the cluster stepper's epoch rollover: the dirty racks' solves run as
+        one batched NumPy solve, or as per-rack reference solves when the
+        fabric was built with ``solver="scalar"``.
         """
+        return self._resolve(indices, demands, iterations, damping, tolerance, None)
+
+    def _resolve(
+        self,
+        indices: Sequence[int],
+        demands: Sequence[Mapping[int, float]],
+        iterations: int,
+        damping: Optional[float],
+        tolerance: float,
+        solver: Optional[str],
+    ) -> ClusterSolve:
         if len(demands) != len(indices):
             raise FabricError(
                 f"expected {len(indices)} demand maps, got {len(demands)}"
+            )
+        solver = validate_solver(solver if solver is not None else self.solver)
+        if solver == SOLVER_SCALAR:
+            diags = tuple(
+                self.rack(index).resolve_detailed(
+                    rack_demands, iterations, damping, tolerance, solver=SOLVER_SCALAR
+                )
+                for index, rack_demands in zip(indices, demands)
+            )
+            return ClusterSolve(
+                racks=diags,
+                iterations=max(d.iterations for d in diags),
+                converged=all(d.converged for d in diags),
+                residual=max(d.residual for d in diags),
             )
         if damping is not None and not 0.0 < damping <= 1.0:
             raise FabricError("damping must be in (0, 1]")
@@ -471,12 +479,6 @@ class ClusterCoSimulator:
             else None
         )
         self.seed = int(seed)
-        #: Stepping-path override: None (default) picks the fused batched
-        #: epoch path whenever ``fabric.solver == "vectorized"``; True/False
-        #: force it on/off (the ``cluster_step_batched`` bench uses False to
-        #: time the per-rack reference loop under the same solver kernel).
-        #: Faults always force the per-rack path regardless.
-        self.batched_stepping: Optional[bool] = None
         self._clock = 0.0
         self._epoch: Optional[float] = epoch_seconds
         self._epoch_elapsed = 0.0
@@ -637,24 +639,15 @@ class ClusterCoSimulator:
     def step(self, dt: float) -> dict[str, float]:
         """Advance all racks ``dt`` wall-seconds in one cluster epoch loop.
 
-        Racks step in lockstep chunks bounded by the cluster epoch; at every
-        cluster epoch boundary the inter-rack coupling (uplink/spine
-        backgrounds of spilled tenants) is refreshed from the racks' live
-        demands.  Returns baseline-seconds completed per tenant, merged
-        across racks.
-
-        With ``solver="vectorized"`` (the default) and no fault schedule
-        armed, racks advance through the **fused batched epoch path**: every
-        rack's intra-epoch progress runs through
-        :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen` and all dirty
-        racks' epoch re-solves batch into one
-        :meth:`ClusterFabric.resolve_racks` call at the boundary, instead of
-        ``n_racks`` independent ``RackCoSimulator.step`` calls each running
-        its own solve.  ``solver="scalar"`` keeps the original per-rack loop
-        as the reference path (the ``cluster_step_batched`` bench group and
-        the batched-equivalence tests hold the two together); a cluster with
-        faults armed always uses the per-rack path, whose sub-chunk
-        scheduling lands fault events at their exact times.
+        Racks step in lockstep chunks bounded by the cluster epoch, each
+        through the fault-aware :meth:`~repro.fabric.cosim.RackCoSimulator.
+        step_frozen` kernel.  At every cluster epoch boundary all due racks
+        roll over in one call whose dirty-rack solves batch through
+        :meth:`ClusterFabric.resolve_racks` (per-rack reference solves when
+        the fabric's solver is ``"scalar"``), and the inter-rack coupling
+        (uplink/spine backgrounds of spilled tenants) is refreshed from the
+        racks' live demands.  Returns baseline-seconds completed per tenant,
+        merged across racks.
         """
         if dt < 0:
             raise FabricError("cannot step the cluster backwards")
@@ -667,10 +660,9 @@ class ClusterCoSimulator:
                 if self._epoch is None:
                     # Nothing admitted anywhere: time passes, no work happens.
                     for sim in self.rack_sims:
-                        sim.step(remaining)
+                        sim.step_frozen(remaining)
                     self._clock += remaining
                     return done
-                batched = self._batched_stepping
                 chunk = min(
                     remaining, max(self._epoch - self._epoch_elapsed, 0.0)
                 )
@@ -678,12 +670,7 @@ class ClusterCoSimulator:
                     self._rollover_cluster_epoch()
                     continue
                 for sim in self.rack_sims:
-                    if batched:
-                        self._step_rack_frozen(sim, chunk, done)
-                    else:
-                        for name, amount in sim.step(chunk).items():
-                            if amount:
-                                done[name] = done.get(name, 0.0) + amount
+                    self._step_rack_frozen(sim, chunk, done)
                 self._clock += chunk
                 self._epoch_elapsed += chunk
                 remaining -= chunk
@@ -691,32 +678,21 @@ class ClusterCoSimulator:
                     self._rollover_cluster_epoch()
         return done
 
-    @property
-    def _batched_stepping(self) -> bool:
-        """Whether the fused batched epoch path is usable right now."""
-        if self.batched_stepping is not None:
-            return bool(self.batched_stepping) and not self._faults_active
-        return self.fabric.solver == SOLVER_VECTORIZED and not self._faults_active
-
     def _step_rack_frozen(
         self, sim: RackCoSimulator, chunk: float, done: dict[str, float]
     ) -> None:
-        """Advance one rack ``chunk`` seconds on the frozen-background path.
+        """Advance one rack ``chunk`` seconds through its frozen-epoch kernel.
 
         In the common case (rack epochs aligned with the cluster epoch) this
         is a single :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen`
         call and the rack's rollover happens batched at the cluster boundary.
-        A rack whose epoch phase drifted from the cluster's (a mid-epoch
-        admission or withdrawal forces a rack rollover, restarting its epoch)
+        A rack whose epoch phase drifted from the cluster's (an admission,
+        withdrawal or fault forces a rack rollover, restarting its epoch)
         rolls itself over mid-chunk exactly where :meth:`~repro.fabric.cosim.
-        RackCoSimulator.step` would — those transitional solves run per-rack,
-        and the rack re-enters the batch once its boundary realigns.
+        RackCoSimulator.step` would.
         """
         remaining = float(chunk)
         while remaining > 1e-15:
-            if sim._inc_epoch is None:
-                sim.step_frozen(remaining)
-                return
             sub = min(
                 remaining, max(sim._inc_epoch - sim._inc_epoch_elapsed, 0.0)
             )
@@ -731,45 +707,33 @@ class ClusterCoSimulator:
                 sim._rollover_epoch()
 
     def _rollover_cluster_epoch(self) -> None:
+        """Roll every due rack over in one call, then recouple the racks.
+
+        Each due rack opens its rollover exactly as a self-driven one would
+        (dirty-epoch skip, revoked-lease retries, counters); the dirty racks'
+        solves then run as one :meth:`ClusterFabric.resolve_racks` call.
+        """
         metrics().counter("fabric.cluster.epochs").inc()
-        if self._batched_stepping:
-            self._rollover_racks_batched()
+        due = [
+            (index, sim, *sim._open_rollover())
+            for index, sim in enumerate(self.rack_sims)
+            if sim.epoch_due()
+        ]
+        dirty = [
+            (index, demands)
+            for index, _, _, demands, key in due
+            if key is not None and demands
+        ]
+        delivered: dict[int, dict[int, float]] = {}
+        if dirty:
+            solve = self.fabric.resolve_racks(*zip(*dirty))
+            delivered = dict(zip((index for index, _ in dirty), solve.delivered))
+        for index, sim, running, demands, key in due:
+            if key is not None:
+                sim._apply_epoch_solve(running, delivered.get(index, {}), key)
+            sim._complete_rollover(running, demands)
         self._epoch_elapsed = 0.0
         self._recouple()
-
-    def _rollover_racks_batched(self) -> None:
-        """Roll every due rack's epoch with one batched contention solve.
-
-        Mirrors :meth:`~repro.fabric.cosim.RackCoSimulator._rollover_epoch`
-        exactly — same dirty-rack skip keyed on the solve signature, same
-        telemetry counters, same history bookkeeping — except that the dirty
-        racks' fixed-point solves run as one vectorized batch instead of one
-        solve per rack.
-        """
-        registry = metrics()
-        dirty: list[tuple[RackCoSimulator, list, tuple]] = []
-        dirty_indices: list[int] = []
-        dirty_demands: list[dict[int, float]] = []
-        due: list[tuple[RackCoSimulator, list, dict[int, float]]] = []
-        for index, sim in enumerate(self.rack_sims):
-            if not sim.epoch_due():
-                continue
-            registry.counter("fabric.cosim.epoch_rollovers").inc()
-            running, demands, solve_key = sim._epoch_demands()
-            if sim.skip_unchanged_epochs and solve_key == sim._inc_solve_key:
-                registry.counter("fabric.cosim.epoch_skips").inc()
-            else:
-                registry.counter("fabric.cosim.epoch_resolves").inc()
-                dirty.append((sim, running, solve_key))
-                dirty_indices.append(index)
-                dirty_demands.append(demands)
-            due.append((sim, running, demands))
-        if dirty:
-            solve = self.fabric.resolve_racks(dirty_indices, dirty_demands)
-            for (sim, running, solve_key), diag in zip(dirty, solve.racks):
-                sim._apply_epoch_solve(running, diag.delivered, solve_key)
-        for sim, running, demands in due:
-            sim._complete_rollover(running, demands)
 
     def _recouple(self) -> None:
         """Refresh spilled tenants' uplink/spine background offsets.

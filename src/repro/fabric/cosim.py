@@ -24,8 +24,10 @@ inherits the full cache/prefetch/placement behaviour of the single-node model.
 Coupling contract (used by :mod:`repro.scheduler.progress`)
 -----------------------------------------------------------
 
-Besides the closed-loop :meth:`RackCoSimulator.run`, the co-simulator can be
-driven **incrementally** by an external scheduler, one rack per simulator:
+The co-simulator has one engine, the **incremental** API below; the
+closed-loop :meth:`RackCoSimulator.run` is just one driver of it (it admits
+tenants at their exact arrival times and returns finished tenants' leases),
+and an external scheduler is another, one rack per simulator:
 
 * **Units.**  Progress is measured in *baseline seconds*: one baseline second
   is the work the tenant completes per wall-clock second on an idle fabric.
@@ -38,7 +40,9 @@ driven **incrementally** by an external scheduler, one rack per simulator:
   withdrawal.  Between rollovers backgrounds are frozen, so per-phase progress
   rates are piecewise constant and an external event loop can do exact linear
   completion-time bookkeeping as long as it never steps past
-  :meth:`RackCoSimulator.horizon` in one go.
+  :meth:`RackCoSimulator.horizon` in one go.  :meth:`RackCoSimulator.step_frozen`
+  is the one intra-epoch kernel; :meth:`RackCoSimulator.step` is that kernel
+  plus a rollover at every epoch boundary.
 * **Tenant ↔ job mapping.**  The scheduler maps each running job onto one
   :class:`TenantSpec` (one tenant per occupied node); it calls
   :meth:`RackCoSimulator.admit` when the job starts and
@@ -53,20 +57,20 @@ driven **incrementally** by an external scheduler, one rack per simulator:
   Checkpoints stay valid only while the tenant mix is unchanged.
 * **Faults.**  An injected :class:`~repro.fabric.faults.FaultSchedule`
   (see :meth:`RackCoSimulator.inject_faults`) fires at exact simulated times:
-  :meth:`step` sub-chunks at fault times, each applied fault forces an epoch
-  rollover (dirtying the solver key), and the damage is summarised by
+  the step kernel sub-chunks at fault times, each applied fault forces an
+  epoch rollover (dirtying the solver key), and the damage is summarised by
   :meth:`RackCoSimulator.blast_radius`.  With no faults injected and a
-  non-elastic pool, the fault layer is one boolean check per step chunk and
-  every output is bit-identical to a fault-free build; rollback across an
-  *applied* fault raises (pool/lease state is not checkpointed), while
-  rollback with faults merely pending is bit-identical as before.  See
-  ``docs/failure_model.md``.
+  non-elastic pool, the fault layer is one boolean check per step chunk; a
+  fault that never fires or an elastic pool under no pressure gives the same
+  answer as a plain run.  Rollback across an *applied* fault raises
+  (pool/lease state is not checkpointed), while rollback with faults merely
+  pending is bit-identical as before.  See ``docs/failure_model.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -243,14 +247,6 @@ class _TenantState:
             return 0.0
         return self.phases[self.phase_index].offered_bandwidth
 
-    @property
-    def completed_baseline_seconds(self) -> float:
-        """Baseline seconds of work completed so far (phases done + partial)."""
-        return (
-            sum(p.runtime for p in self.phases[: self.phase_index])
-            + self.phase_elapsed
-        )
-
 
 @dataclass(frozen=True)
 class TenantOutcome:
@@ -396,8 +392,8 @@ class RackCoSimResult:
     max_leased_bytes: int
     epoch_seconds: float
     _interference: dict
-    #: Fault damage assessment; None when the run had no fault schedule and
-    #: no elastic pool (the fault-free fast path).
+    #: Fault damage assessment; None unless the fault layer was armed (a
+    #: non-empty fault schedule or an elastic pool).
     blast_radius: Optional[BlastRadiusReport] = None
 
     @property
@@ -729,256 +725,89 @@ class RackCoSimulator:
         """
         return profile.unit_time_idle / self._unit_time(state, profile, background)
 
-    # -- main loop ------------------------------------------------------------------
+    # -- closed-loop driver -----------------------------------------------------------
 
     def run(self) -> RackCoSimResult:
-        """Co-simulate all tenants to completion (or rejection)."""
+        """Co-simulate all tenants to completion (or rejection).
+
+        Drives the incremental API: tenant ``i`` is admitted on node ``i`` at
+        its arrival time, each step goes at most one :meth:`horizon` and
+        stops at the next arrival or fault, and a finished tenant returns its
+        lease at its finish time, admitting queued tenants.  Arrivals, lease
+        releases and faults therefore land at their exact times.
+        """
         with trace_span("fabric.run", tenants=len(self.tenants)):
-            if self._fault_events or self.pool.elastic:
-                return self._run_chaos()
-            return self._run()
-
-    def _run(self) -> RackCoSimResult:
-        states = [_TenantState(spec, node=i) for i, spec in enumerate(self.tenants)]
-        profile_cache: dict = {}
-        for state in states:
-            self._profile_tenant(state, profile_cache)
-
-        epoch_seconds = self._epoch_seconds
-        if epoch_seconds is None:
-            longest = max(s.baseline_runtime for s in states)
-            epoch_seconds = max(longest / 40.0, 1e-6)
-
-        telemetry = RackTelemetry()
-        epochs = metrics().counter("fabric.cosim.epochs")
-        clock = 0.0
-        max_leased = 0
-        for _ in range(self.MAX_EPOCHS):
-            epochs.inc()
-            # Submit arrivals.
-            for state in states:
-                if state.lease is None and state.spec.arrival <= clock:
-                    state.lease = self.pool.request(
-                        state.spec.name, state.spec.lease_bytes, time=clock
-                    )
-            max_leased = max(max_leased, self.pool.leased_bytes)
-
-            running = [s for s in states if s.running]
-            waiting = [
-                s for s in states if s.lease is not None and s.lease.state == LEASE_QUEUED
-            ]
-            if not running:
-                future = [
-                    s.spec.arrival
-                    for s in states
-                    if s.lease is None and s.spec.arrival > clock
+            if self._inc_states:
+                raise FabricError("run() cannot follow incremental admissions")
+            if self._inc_epoch is None:
+                # ~1/40 of the longest baseline runtime across all tenants
+                # (profiles are cached, so the admissions below reuse them).
+                longest = 0.0
+                for spec in self.tenants:
+                    probe = _TenantState(spec, node=0)
+                    self._profile_tenant(probe, self._inc_cache)
+                    longest = max(longest, probe.baseline_runtime)
+                self._inc_epoch = max(longest / 40.0, 1e-6)
+            pending = sorted(
+                range(len(self.tenants)), key=lambda i: self.tenants[i].arrival
+            )
+            max_leased = 0
+            for _ in range(self.MAX_EPOCHS):
+                if self._faults_active:
+                    self._apply_due_faults()
+                while (
+                    pending
+                    and self.tenants[pending[0]].arrival <= self._inc_clock + 1e-12
+                ):
+                    idx = pending.pop(0)
+                    # Stepping to an arrival may land a rounding error short
+                    # of it; the tenant still starts no earlier than it arrives.
+                    self._inc_clock = max(self._inc_clock, self.tenants[idx].arrival)
+                    self.admit(self.tenants[idx], node=idx)
+                max_leased = max(max_leased, self.pool.leased_bytes)
+                states = list(self._inc_states.values())
+                freed = [
+                    s for s in states if s.finished and s.lease.state == LEASE_GRANTED
                 ]
-                if future:
-                    clock = min(future)
-                    continue
-                # Nothing runs and nothing will release capacity: any queued
-                # request can never be admitted.
-                for state in waiting:
-                    self.pool.release(state.lease, time=clock)
-                    state.lease.state = LEASE_REJECTED
-                break
-
-            # Resolve this epoch's emergent interference from all co-runners:
-            # what each tenant experiences as background is what the others
-            # actually *deliver* through the shared port, not what they ask for.
-            demands = {s.node: s.current_offered_bandwidth() for s in running}
-            delivered = self.topology.resolve(demands)
-            backgrounds = {
-                s.node: self.topology.background_for(s.node, delivered) for s in running
-            }
-            for state in running:
-                state.background_times.append(clock)
-                state.background_bandwidths.append(backgrounds[state.node])
-
-            ports_in_use = {self.topology.port_of(s.node) for s in running}
-            telemetry.record(
-                self.pool.sample(clock),
-                utilization=max(
-                    self.topology.port_utilization(p, demands) for p in ports_in_use
-                ),
-                waiting_seconds=max(
-                    self.topology.port_waiting_time(p, demands) for p in ports_in_use
-                ),
-            )
-
-            # Advance every running tenant through the epoch.
-            epoch_end = clock + epoch_seconds
-            for state in running:
-                used = self._advance(state, backgrounds[state.node], epoch_seconds)
-                if used is not None:
-                    state.finish_time = clock + used
-                    self.pool.release(state.lease, time=epoch_end)
-            clock = epoch_end
-        else:
-            raise FabricError(
-                f"co-simulation did not terminate within {self.MAX_EPOCHS} epochs"
-            )
-
-        makespan = max((s.finish_time for s in states if s.finished), default=0.0)
-        interference = {
-            s.spec.name: DynamicInterference(
-                s.background_times,
-                s.background_bandwidths,
-                link=self.topology.link_of(s.node),
-            )
-            for s in states
-            if s.background_times
-        }
-        outcomes = tuple(
-            TenantOutcome(
-                name=s.spec.name,
-                workload=s.spec.workload.name,
-                node=s.node,
-                arrival=s.spec.arrival,
-                start_time=s.lease.granted_at if s.lease is not None else None,
-                finish_time=s.finish_time,
-                baseline_runtime=s.baseline_runtime,
-                lease_bytes=s.spec.lease_bytes,
-                lease_state=s.lease.state if s.lease is not None else LEASE_REJECTED,
-                mean_background_bandwidth=(
-                    float(np.mean(s.background_bandwidths))
-                    if s.background_bandwidths
-                    else 0.0
-                ),
-            )
-            for s in states
-        )
-        return RackCoSimResult(
-            tenants=outcomes,
-            telemetry=telemetry,
-            makespan=makespan,
-            pool_capacity_bytes=self.pool.capacity_bytes,
-            max_leased_bytes=max_leased,
-            epoch_seconds=epoch_seconds,
-            _interference=interference,
-        )
-
-    def _advance(
-        self, state: _TenantState, background: float, dt: float
-    ) -> Optional[float]:
-        """Advance a tenant by ``dt`` wall-seconds under ``background``.
-
-        Returns the wall time actually consumed if the tenant finished inside
-        the epoch, else None.  Phase boundaries inside the epoch are honoured:
-        the next phase runs at its own rate (the background map, however, is
-        only refreshed at epoch granularity).
-        """
-        used = 0.0
-        while used < dt and state.phase_index < len(state.phases):
-            profile = state.phases[state.phase_index]
-            rate = self._progress_rate(state, profile, background)
-            baseline_remaining = profile.runtime - state.phase_elapsed
-            wall_needed = baseline_remaining / rate
-            if wall_needed <= (dt - used) + 1e-12:
-                used += wall_needed
-                state.phase_index += 1
-                state.phase_elapsed = 0.0
+                for state in freed:
+                    self.pool.release(state.lease, time=self._inc_clock)
+                if freed:
+                    self._rollover_epoch(force=True)
+                if not pending and all(s.finished for s in states):
+                    break
+                targets = [self.tenants[pending[0]].arrival] if pending else []
+                nxt = self._next_fault_time()
+                if nxt is not None and any(s.running for s in states):
+                    # Only a running (possibly stalled) tenant can be changed
+                    # by a fault; with nobody running a fault admits no one.
+                    targets.append(nxt)
+                future = [t for t in targets if t > self._inc_clock + 1e-12]
+                if any(r > 0 for r in self.progress_rates().values()) or any(
+                    s.running and s.migration_debt > 0.0 for s in states
+                ):
+                    dt = self.horizon()
+                    self.step(min([dt] + [t - self._inc_clock for t in future]))
+                elif future:
+                    # Nothing progresses right now; jump to the next arrival
+                    # or fault, whichever changes the world first.
+                    self.step(min(future) - self._inc_clock)
+                else:
+                    # Nothing moves, nothing arrives, no fault can help: whoever
+                    # is still queued can never be admitted.
+                    for state in states:
+                        if state.lease.state == LEASE_QUEUED:
+                            self.pool.release(state.lease, time=self._inc_clock)
+                            state.lease.state = LEASE_REJECTED
+                    break
             else:
-                state.phase_elapsed += (dt - used) * rate
-                used = dt
-        if state.phase_index >= len(state.phases):
-            return used
-        return None
+                raise FabricError(
+                    f"co-simulation did not terminate within {self.MAX_EPOCHS} epochs"
+                )
+        return self._result(max_leased)
 
-    def _run_chaos(self) -> RackCoSimResult:
-        """Closed-loop run for faulted or elastic scenarios.
-
-        Drives the incremental API (admit / step / fault application) instead
-        of the fixed-stride epoch loop in :meth:`_run`: faults need
-        exact-time sub-chunking and lease retries that loop cannot express.
-        :meth:`run` switches here automatically whenever a fault schedule was
-        injected or the pool is elastic, so the fault-free non-elastic batch
-        path stays untouched.
-        """
-        if self._inc_states:
-            raise FabricError("run() cannot follow incremental admissions")
-        if self._inc_epoch is None:
-            # Match the batch loop's default epoch: ~1/40 of the longest
-            # baseline runtime across all tenants (profiles are cached, so
-            # the admissions below reuse these runs).
-            longest = 0.0
-            for spec in self.tenants:
-                probe = _TenantState(spec, node=0)
-                self._profile_tenant(probe, self._inc_cache)
-                longest = max(longest, probe.baseline_runtime)
-            self._inc_epoch = max(longest / 40.0, 1e-6)
-        pending = sorted(
-            range(len(self.tenants)), key=lambda i: self.tenants[i].arrival
-        )
-        released: set = set()
-        max_leased = 0
-        for _ in range(self.MAX_EPOCHS):
-            if self._faults_active:
-                self._apply_due_faults()
-            # Admit due arrivals (tenant i runs on node i, as in the batch loop).
-            while (
-                pending
-                and self.tenants[pending[0]].arrival <= self._inc_clock + 1e-12
-            ):
-                idx = pending.pop(0)
-                self.admit(self.tenants[idx], node=idx)
-            max_leased = max(max_leased, self.pool.leased_bytes)
-            # Return leases of tenants that finished, admitting queued ones.
-            freed = False
-            for state in self._inc_states.values():
-                if (
-                    state.finished
-                    and state.spec.name not in released
-                    and state.lease is not None
-                    and state.lease.state in (LEASE_GRANTED, LEASE_QUEUED)
-                ):
-                    self.pool.release(state.lease, time=self._inc_clock)
-                    released.add(state.spec.name)
-                    freed = True
-            if freed:
-                self._rollover_epoch(force=True)
-            states = list(self._inc_states.values())
-            if not pending and states and all(s.finished for s in states):
-                break
-            targets = []
-            if pending:
-                targets.append(self.tenants[pending[0]].arrival)
-            nxt = self._next_fault_time()
-            if nxt is not None:
-                targets.append(nxt)
-            future = [t for t in targets if t > self._inc_clock + 1e-12]
-            moving = any(r > 0 for r in self.progress_rates().values()) or any(
-                s.running and s.migration_debt > 0.0 for s in states
-            )
-            if moving:
-                dt = self.horizon()
-                if future:
-                    dt = min(dt, min(future) - self._inc_clock)
-                self.step(dt)
-                continue
-            if future:
-                # Nothing progresses right now; jump to the next arrival or
-                # fault, whichever changes the world first.
-                self.step(min(future) - self._inc_clock)
-                continue
-            # Nothing moves, nothing arrives, no fault will fire: whoever is
-            # still queued can never be admitted.
-            for state in states:
-                if (
-                    state.lease is not None
-                    and state.lease.state == LEASE_QUEUED
-                    and not state.finished
-                ):
-                    self.pool.release(state.lease, time=self._inc_clock)
-                    state.lease.state = LEASE_REJECTED
-            break
-        else:
-            raise FabricError(
-                f"co-simulation did not terminate within {self.MAX_EPOCHS} epochs"
-            )
-
+    def _result(self, max_leased: int) -> RackCoSimResult:
+        """Package the finished closed-loop run (tenants in spec order)."""
         ordered = [self._inc_states[spec.name] for spec in self.tenants]
-        makespan = max((s.finish_time for s in ordered if s.finished), default=0.0)
         interference = {
             s.spec.name: DynamicInterference(
                 s.background_times,
@@ -998,7 +827,7 @@ class RackCoSimulator:
                 finish_time=s.finish_time,
                 baseline_runtime=s.baseline_runtime,
                 lease_bytes=s.spec.lease_bytes,
-                lease_state=s.lease.state if s.lease is not None else LEASE_REJECTED,
+                lease_state=s.lease.state,
                 mean_background_bandwidth=(
                     float(np.mean(s.background_bandwidths))
                     if s.background_bandwidths
@@ -1007,16 +836,45 @@ class RackCoSimulator:
             )
             for s in ordered
         )
+        armed = bool(self._fault_events) or self.pool.elastic
         return RackCoSimResult(
             tenants=outcomes,
             telemetry=self._inc_telemetry,
-            makespan=makespan,
+            makespan=max((s.finish_time for s in ordered if s.finished), default=0.0),
             pool_capacity_bytes=self.pool.capacity_bytes,
             max_leased_bytes=max_leased,
             epoch_seconds=self._inc_epoch,
             _interference=interference,
-            blast_radius=self.blast_radius(),
+            blast_radius=self.blast_radius() if armed else None,
         )
+
+    def _advance(
+        self, state: _TenantState, background: float, dt: float
+    ) -> tuple[float, Optional[float]]:
+        """Advance a tenant by ``dt`` wall-seconds under ``background``.
+
+        Returns the baseline seconds completed and, if the tenant finished
+        inside ``dt``, the wall time that took (else None).  Phase boundaries
+        inside ``dt`` are honoured: the next phase runs at its own rate (the
+        background map, however, is only refreshed at epoch granularity).
+        """
+        used = progress = 0.0
+        while used < dt and state.phase_index < len(state.phases):
+            profile = state.phases[state.phase_index]
+            rate = self._progress_rate(state, profile, background)
+            baseline_remaining = profile.runtime - state.phase_elapsed
+            wall_needed = baseline_remaining / rate
+            if wall_needed <= (dt - used) + 1e-12:
+                used += wall_needed
+                progress += baseline_remaining
+                state.phase_index += 1
+                state.phase_elapsed = 0.0
+            else:
+                advanced = (dt - used) * rate
+                state.phase_elapsed += advanced
+                progress += advanced
+                used = dt
+        return progress, (used if state.phase_index >= len(state.phases) else None)
 
     # -- incremental (scheduler-driven) API -------------------------------------------
     #
@@ -1243,10 +1101,9 @@ class RackCoSimulator:
     def step(self, dt: float) -> dict[str, float]:
         """Advance the co-simulation ``dt`` wall-seconds.
 
-        Progress accrues under the current epoch's frozen backgrounds; epoch
-        boundaries crossed inside ``dt`` trigger rollovers (backgrounds are
-        re-resolved mid-step), so arbitrarily large ``dt`` values are legal —
-        but only steps of at most :meth:`horizon` keep rates piecewise
+        :meth:`step_frozen` up to each epoch boundary, then a rollover that
+        re-resolves the backgrounds, so arbitrarily large ``dt`` values are
+        legal — but only steps of at most :meth:`horizon` keep rates piecewise
         constant for the caller's own bookkeeping.  Tenants finishing inside
         the step get their ``finish_time`` set and stop demanding bandwidth;
         their leases stay held until :meth:`withdraw`.  Returns the baseline
@@ -1254,52 +1111,74 @@ class RackCoSimulator:
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
+        if self._inc_epoch is None:
+            return self.step_frozen(dt)
+        done = None
+        remaining = float(dt)
+        while remaining > 1e-15:
+            chunk = min(remaining, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
+            if chunk <= 0:
+                self._rollover_epoch()
+                continue
+            part = self.step_frozen(chunk)
+            if done is None:
+                done = part
+            else:
+                for name, amount in part.items():
+                    done[name] += amount
+            remaining -= chunk
+            if self._inc_epoch_elapsed >= self._inc_epoch - 1e-12:
+                self._rollover_epoch()
+        return done if done is not None else {name: 0.0 for name in self._inc_states}
+
+    def step_frozen(self, dt: float) -> dict[str, float]:
+        """Advance ``dt`` wall-seconds under the current frozen backgrounds.
+
+        The one intra-epoch kernel, behind :meth:`step` and the cluster's
+        epoch loop (a :class:`~repro.fabric.cluster.ClusterCoSimulator` rolls
+        all due racks over itself so their re-solves batch into one call).
+        ``dt`` must not cross this rack's epoch boundary.  Scheduled faults
+        fire at their exact times inside ``dt``: the kernel sub-chunks there,
+        and each applied fault rolls the epoch over.  A tenant on a killed
+        port, owing migration debt or waiting for a revoked lease stalls.
+        """
+        if dt < 0:
+            raise FabricError("cannot step the co-simulation backwards")
+        if (
+            self._inc_epoch is not None
+            and dt > max(self._inc_epoch - self._inc_epoch_elapsed, 0.0) + 1e-12
+        ):
+            raise FabricError(
+                "step_frozen cannot cross an epoch boundary; roll the epoch "
+                "over first"
+            )
         registry = metrics()
         registry.counter("fabric.cosim.step_calls").inc()
         registry.counter("fabric.cosim.stepped_seconds").inc(dt)
         done = {name: 0.0 for name in self._inc_states}
         remaining = float(dt)
         while remaining > 1e-15:
-            if self._faults_active:
+            chunk = remaining
+            faulted = self._faults_active
+            if faulted:
                 self._apply_due_faults()
-            if self._inc_epoch is None:
-                # Nothing was ever admitted: time passes, no work happens —
-                # but scheduled faults still fire at their exact times.
-                if self._faults_active:
-                    nxt = self._next_fault_time()
-                    if nxt is not None and nxt <= self._inc_clock + remaining:
-                        advance = max(nxt - self._inc_clock, 0.0)
-                        self._inc_clock += advance
-                        remaining -= advance
-                        self._apply_due_faults()
-                        continue
-                self._inc_clock += remaining
-                return done
-            chunk = min(remaining, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
-            if self._faults_active:
-                # Sub-chunk at the next fault time so events land exactly.
                 nxt = self._next_fault_time()
                 if nxt is not None:
                     chunk = min(chunk, max(nxt - self._inc_clock, 0.0))
-            if chunk <= 0:
-                self._rollover_epoch()
-                continue
-            if self._faults_active:
-                for state in [s for s in self._inc_states.values() if s.running]:
-                    avail = self._fault_chunk_available(state, chunk)
-                    if avail <= 0.0:
-                        continue
-                    before = state.completed_baseline_seconds
-                    used = self._advance(
-                        state, self._inc_backgrounds.get(state.node, 0.0), avail
-                    )
-                    done[state.spec.name] += state.completed_baseline_seconds - before
-                    if used is not None and state.finish_time is None:
-                        state.finish_time = self._inc_clock + (chunk - avail) + used
+            for state in [s for s in self._inc_states.values() if s.running]:
+                avail = self._fault_chunk_available(state, chunk) if faulted else chunk
+                if avail <= 0.0:
+                    continue
+                progress, used = self._advance(
+                    state, self._inc_backgrounds.get(state.node, 0.0), avail
+                )
+                done[state.spec.name] += progress
+                if used is not None and state.finish_time is None:
+                    state.finish_time = self._inc_clock + (chunk - avail) + used
+            if faulted:
                 for state in self._inc_states.values():
-                    # Between revocation and re-grant (the lease is REVOKED or
-                    # back in the queue) the tenant makes no progress: all of
-                    # that wall time is fault-induced stall.
+                    # Between revocation and re-grant (the lease is REVOKED
+                    # or back in the queue) the tenant makes no progress.
                     if (
                         not state.finished
                         and not state.running
@@ -1307,66 +1186,10 @@ class RackCoSimulator:
                         and state.readmit_latency is None
                     ):
                         self._record_stall(state, chunk)
-            else:
-                for state in [s for s in self._inc_states.values() if s.running]:
-                    before = state.completed_baseline_seconds
-                    used = self._advance(
-                        state, self._inc_backgrounds.get(state.node, 0.0), chunk
-                    )
-                    done[state.spec.name] += state.completed_baseline_seconds - before
-                    if used is not None and state.finish_time is None:
-                        state.finish_time = self._inc_clock + used
             self._inc_clock += chunk
-            self._inc_epoch_elapsed += chunk
+            if self._inc_epoch is not None:
+                self._inc_epoch_elapsed += chunk
             remaining -= chunk
-            if self._inc_epoch_elapsed >= self._inc_epoch - 1e-12:
-                self._rollover_epoch()
-        return done
-
-    def step_frozen(self, dt: float) -> dict[str, float]:
-        """Advance ``dt`` wall-seconds under the current frozen backgrounds.
-
-        The fused inner kernel of the cluster's batched epoch path: exactly
-        the fault-free body of :meth:`step` for one intra-epoch chunk, with
-        the epoch rollover lifted out — the caller (a
-        :class:`~repro.fabric.cluster.ClusterCoSimulator`) rolls all racks
-        over centrally so their re-solves batch into one vectorized call.
-        ``dt`` must therefore not cross this rack's epoch boundary, and the
-        fault layer must be disarmed (a faulted rack needs the sub-chunk
-        fault scheduling of :meth:`step`).
-        """
-        if dt < 0:
-            raise FabricError("cannot step the co-simulation backwards")
-        if self._faults_active:
-            raise FabricError(
-                "step_frozen cannot run with the fault layer armed; "
-                "use step() for faulted racks"
-            )
-        registry = metrics()
-        registry.counter("fabric.cosim.step_calls").inc()
-        registry.counter("fabric.cosim.stepped_seconds").inc(dt)
-        done = {name: 0.0 for name in self._inc_states}
-        if dt <= 1e-15:
-            return done
-        if self._inc_epoch is None:
-            # Nothing was ever admitted: time passes, no work happens.
-            self._inc_clock += dt
-            return done
-        if dt > max(self._inc_epoch - self._inc_epoch_elapsed, 0.0) + 1e-12:
-            raise FabricError(
-                "step_frozen cannot cross an epoch boundary; roll the epoch "
-                "over first"
-            )
-        for state in [s for s in self._inc_states.values() if s.running]:
-            before = state.completed_baseline_seconds
-            used = self._advance(
-                state, self._inc_backgrounds.get(state.node, 0.0), dt
-            )
-            done[state.spec.name] += state.completed_baseline_seconds - before
-            if used is not None and state.finish_time is None:
-                state.finish_time = self._inc_clock + used
-        self._inc_clock += dt
-        self._inc_epoch_elapsed += dt
         return done
 
     def epoch_due(self) -> bool:
@@ -1482,7 +1305,7 @@ class RackCoSimulator:
         rate: when a lease is shrunk or revoked, the reclaimed bytes drain
         back at this rate and the drain time is charged against the tenant's
         progress as a stall (migration debt).  Faults fire at exact simulated
-        times during :meth:`step` (the step sub-chunks at fault times), and
+        times inside :meth:`step_frozen` (the kernel sub-chunks there), and
         each applied fault forces an epoch rollover so the contention solve
         reflects the damage immediately.  Injection is one-shot per
         simulator; an *empty* schedule leaves the fault layer disarmed and
@@ -1693,66 +1516,57 @@ class RackCoSimulator:
 
         Called at every epoch boundary and on every tenant admission or
         withdrawal, so the frozen backgrounds always reflect the live tenant
-        mix and their current phases.
+        mix and their current phases.  A
+        :class:`~repro.fabric.cluster.ClusterCoSimulator` runs the same three
+        pieces for all its due racks at once: :meth:`_open_rollover`, one
+        batched solve of the dirty racks, then :meth:`_apply_epoch_solve` and
+        :meth:`_complete_rollover` per rack.
+        """
+        running, demands, solve_key = self._open_rollover(force)
+        if solve_key is not None:
+            delivered = self.topology.resolve(demands) if demands else {}
+            self._apply_epoch_solve(running, delivered, solve_key)
+        self._complete_rollover(running, demands)
 
+    def _open_rollover(
+        self, force: bool = False
+    ) -> tuple[list[_TenantState], dict[int, float], Optional[tuple]]:
+        """Start a rollover: the running tenants, their demand vector and the
+        solve signature — ``None`` when the solve can be skipped.
+
+        Revoked leases are retried first while the fault layer is armed.
         When :attr:`skip_unchanged_epochs` is on and neither the demand
         vector nor the external offsets changed since the last resolved
         epoch, the fixed-point solve is skipped — it would reproduce the
         backgrounds already frozen — while history and telemetry are still
         recorded exactly as on the resolve path, so trajectories are
         bit-identical with skipping on or off.  ``force`` (admission,
-        withdrawal, rollback) always re-solves: those events change pool or
+        withdrawal, fault) always re-solves: those events change pool or
         lease state the demand signature alone cannot see.
         """
         registry = metrics()
         registry.counter("fabric.cosim.epoch_rollovers").inc()
         if self._faults_active:
             self._retry_revoked()
-        running, demands, solve_key = self._epoch_demands()
-        if (
-            not force
-            and self.skip_unchanged_epochs
-            and solve_key == self._inc_solve_key
-        ):
-            registry.counter("fabric.cosim.epoch_skips").inc()
-        else:
-            registry.counter("fabric.cosim.epoch_resolves").inc()
-            delivered = self.topology.resolve(demands) if demands else {}
-            self._apply_epoch_solve(running, delivered, solve_key)
-        self._complete_rollover(running, demands)
-
-    def _epoch_demands(
-        self,
-    ) -> tuple[list[_TenantState], dict[int, float], tuple]:
-        """The running tenants, their demand vector and its solve signature.
-
-        The first of the three pieces :meth:`_rollover_epoch` is made of;
-        split out so :class:`~repro.fabric.cluster.ClusterCoSimulator` can
-        collect every rack's demands, batch the dirty ones through one
-        vectorized solve, and finish each rack with the exact same
-        bookkeeping as a self-driven rollover.
-        """
         running = [s for s in self._inc_states.values() if s.running]
-        if self._port_scales:
-            # Tenants on killed ports demand nothing (they are stalled), and
-            # port health is part of the solve signature so restoring or
-            # degrading a port can never be skipped as "unchanged".
-            demands = {
-                s.node: s.current_offered_bandwidth()
-                for s in running
-                if self._port_scales.get(self.topology.port_of(s.node), 1.0) > 0.0
-            }
-            solve_key: tuple = (
-                tuple(sorted(demands.items())),
-                tuple(sorted(self._inc_offsets.items())),
-                tuple(sorted(self._port_scales.items())),
-            )
-        else:
-            demands = {s.node: s.current_offered_bandwidth() for s in running}
-            solve_key = (
-                tuple(sorted(demands.items())),
-                tuple(sorted(self._inc_offsets.items())),
-            )
+        # Tenants on killed ports demand nothing (they are stalled), and port
+        # health is part of the solve signature so restoring or degrading a
+        # port can never be skipped as "unchanged".
+        demands = {
+            s.node: s.current_offered_bandwidth()
+            for s in running
+            if not self._port_scales
+            or self._port_scales.get(self.topology.port_of(s.node), 1.0) > 0.0
+        }
+        solve_key: tuple = (
+            tuple(sorted(demands.items())),
+            tuple(sorted(self._inc_offsets.items())),
+            tuple(sorted(self._port_scales.items())),
+        )
+        if not force and self.skip_unchanged_epochs and solve_key == self._inc_solve_key:
+            registry.counter("fabric.cosim.epoch_skips").inc()
+            return running, demands, None
+        registry.counter("fabric.cosim.epoch_resolves").inc()
         return running, demands, solve_key
 
     def _apply_epoch_solve(

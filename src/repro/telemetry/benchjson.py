@@ -38,8 +38,8 @@ batched NumPy vs scalar contention solving at 100 racks).  Version 3 added
 ``docs/failure_model.md``) plus a seeded chaos scenario.  Version 4 added
 the ``repro.parallel`` groups: ``sweep_sharded`` — a repeated-query sweep
 through :class:`repro.parallel.SweepRunner` at 8 workers versus a naive
-serial loop — and ``cluster_step_batched`` — the fused batched cluster
-epoch path versus the per-rack reference loop at 100 racks.  Version 5
+serial loop — and ``cluster_step_batched`` — cluster epoch stepping at
+100 racks with the rollover solves batched versus run per rack.  Version 5
 added ``trace_ingest`` — streaming :func:`repro.data.slurm.read_sacct`
 throughput on a synthetic ``sacct`` dump (``extra.rows_per_s`` is the
 recorded ingestion rate).  Older documents remain readable (each version

@@ -11,7 +11,9 @@ from repro.fabric import (
     MemoryPool,
     RackCoSimulator,
     TenantSpec,
+    uniform_tenants,
 )
+from repro.fabric.faults import FaultSchedule, parse_fault_spec
 from repro.fabric.pool import LEASE_REJECTED
 from repro.interconnect.link import RemoteLink
 from repro.config import SKYLAKE_EMULATION
@@ -153,17 +155,90 @@ class TestPoolAdmission:
         assert max(t.wait_time for t in two_at_a_time.finished_tenants) > 0
 
 
+def never_firing_fault():
+    """A fault scheduled long after every tenant has finished."""
+    return FaultSchedule((parse_fault_spec("port-restore@1e9:port=0"),))
+
+
+def run_rack(specs, pool=None, faults=None):
+    sim = RackCoSimulator(specs, pool=pool, seed=0)
+    if faults is not None:
+        sim.inject_faults(faults)
+    return sim.run()
+
+
+def schedule_of(result):
+    return result.makespan, [(t.start_time, t.finish_time) for t in result.tenants]
+
+
 class TestStaggeredArrivals:
-    def test_staggered_arrivals(self):
+    def staggered(self):
         spec = bandwidth_hungry_spec()
-        specs = [
+        return [
             TenantSpec(name="early", workload=spec, local_fraction=0.5, arrival=0.0),
             TenantSpec(name="late", workload=spec, local_fraction=0.5, arrival=50.0),
         ]
-        result = RackCoSimulator(specs).run()
+
+    def test_staggered_arrivals(self):
+        result = RackCoSimulator(self.staggered()).run()
         late = result.tenant("late")
         assert late.start_time is not None and late.start_time >= 50.0
         assert result.tenant("early").start_time == 0.0
+
+    @pytest.mark.parametrize("layer", ["plain", "elastic", "never-firing-fault"])
+    def test_no_tenant_starts_before_it_arrives(self, layer):
+        specs = self.staggered()
+        pool = faults = None
+        if layer == "elastic":
+            pool = MemoryPool(sum(t.lease_bytes for t in specs) + 1, elastic=True)
+        elif layer == "never-firing-fault":
+            faults = never_firing_fault()
+        result = run_rack(specs, pool=pool, faults=faults)
+        for outcome in result.tenants:
+            assert outcome.start_time >= outcome.arrival
+        assert result.tenant("late").start_time == 50.0
+
+
+class TestOptionalLayersAreInvisible:
+    """A scenario gives the same answer whichever optional layer is armed."""
+
+    @pytest.fixture(params=["XSBench", "Hypre"])
+    def staggered(self, request, xsbench_spec, hypre_spec):
+        spec = {"XSBench": xsbench_spec, "Hypre": hypre_spec}[request.param]
+        return uniform_tenants(spec, 4, stagger=2.0)
+
+    def test_never_firing_fault_changes_nothing(self, staggered):
+        lease = staggered[0].lease_bytes
+        plain = run_rack(staggered, pool=MemoryPool(2 * lease + 1))
+        armed = run_rack(
+            staggered, pool=MemoryPool(2 * lease + 1), faults=never_firing_fault()
+        )
+        assert max(t.wait_time for t in plain.tenants) > 0  # the pool queues
+        assert schedule_of(armed) == schedule_of(plain)
+
+    def test_never_firing_fault_behind_a_stuck_queue_changes_nothing(self):
+        """Capacity loss leaves both tenants queued with nothing running; a
+        fault pending far in the future cannot admit them, so the run
+        rejects them at once instead of stepping to the fault."""
+        specs = tenants(2)
+        lease = specs[0].lease_bytes
+        loss = parse_fault_spec(f"pool-capacity-loss@0.3:gb={lease / 2 / 1024**3}")
+        runs = []
+        for extra in ((), never_firing_fault().events):
+            sim = RackCoSimulator(specs, pool=MemoryPool(lease + 1), seed=0)
+            sim.inject_faults(FaultSchedule((loss, *extra)))
+            runs.append(sim.run())
+        plain, armed = runs
+        assert [t.lease_state for t in plain.tenants] == [LEASE_REJECTED] * 2
+        assert schedule_of(armed) == schedule_of(plain)
+        assert armed.telemetry.series() == plain.telemetry.series()
+
+    def test_elastic_pool_without_pressure_changes_nothing(self, staggered):
+        room = 4 * staggered[0].lease_bytes + 1
+        plain = run_rack(staggered, pool=MemoryPool(room))
+        elastic = run_rack(staggered, pool=MemoryPool(room, elastic=True))
+        assert schedule_of(elastic) == schedule_of(plain)
+        assert elastic.blast_radius.total_stall_seconds == 0.0
 
 
 class TestDynamicInterferenceAdapter:

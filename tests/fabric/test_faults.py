@@ -186,6 +186,19 @@ class TestPortFaults:
         assert result.makespan > clean.makespan
         assert result.blast_radius.total_stall_seconds == 0.0
 
+    def test_frozen_kernel_fires_faults_at_their_exact_time(self):
+        sim = RackCoSimulator.incremental(n_nodes=2, epoch_seconds=0.5)
+        for spec in tenants(2):
+            sim.admit(spec)
+        sim.inject_faults(kill_schedule(time=0.3, duration=0.5))
+        done = sim.step_frozen(0.4)
+        assert sim.clock == pytest.approx(0.4)
+        assert sim.port_health(0) == 0.0
+        assert sim.progress_rates() == {"t0": 0.0, "t1": 0.0}
+        report = sim.blast_radius()
+        assert report.total_stall_seconds == pytest.approx(2 * 0.1)
+        assert all(amount > 0 for amount in done.values())
+
     def test_inject_twice_refused(self):
         sim = RackCoSimulator(tenants(1), seed=0)
         sim.inject_faults(kill_schedule())

@@ -20,9 +20,10 @@ and the overhead of the telemetry layer itself:
    loop (its ``extra.disabled_overhead_pct`` is the < 2% acceptance bound
    of ``docs/failure_model.md``) plus a seeded chaos scenario;
 7. ``cluster_step_batched`` — cluster epoch stepping at 100 racks through
-   the fused batched rollover path vs the per-rack reference loop (the
+   the one stepping path, with the rollover solves batched by the
+   vectorized solver vs run per rack by the scalar reference solver (the
    recorded ``extra.speedup_vs_per_rack`` is the acceptance number of the
-   batched path);
+   batched rollover);
 8. ``sweep_sharded`` — a repeated-query parameter sweep executed through
    :class:`repro.parallel.SweepRunner` at 8 workers vs a naive serial loop
    over the same query stream (``extra.speedup_vs_serial`` is the
@@ -389,7 +390,7 @@ def bench_fault_injection(quick: bool) -> list[dict]:
 
 
 #: The 100-rack wiring of the ``cluster_step_batched`` group — dense enough
-#: that the per-rack Python loop, not the shared tenant models, dominates
+#: that the per-rack solves, not the shared tenant models, dominate
 #: (identical in quick and full runs so the recorded speedup is always
 #: measured at the same scale).
 BATCHED_RACKS = 100
@@ -397,12 +398,11 @@ BATCHED_NODES = 8
 BATCHED_TENANTS = 8
 
 
-def _batched_cluster(solver: str, batched: bool) -> ClusterCoSimulator:
+def _batched_cluster(solver: str) -> ClusterCoSimulator:
     fabric = ClusterFabric(
         n_racks=BATCHED_RACKS, nodes_per_rack=BATCHED_NODES, n_ports=1, solver=solver
     )
     sim = ClusterCoSimulator(fabric, seed=0)
-    sim.batched_stepping = batched
     spec = build_workload("Hypre", 4.0)
     tenants = uniform_tenants(spec, BATCHED_TENANTS, local_fraction=0.5)
     for rack in range(BATCHED_RACKS):
@@ -416,15 +416,15 @@ def _batched_cluster(solver: str, batched: bool) -> ClusterCoSimulator:
 
 
 def bench_cluster_step_batched(quick: bool) -> list[dict]:
-    """Fused batched cluster epoch stepping vs the per-rack reference loop.
+    """Batched vs per-rack rollover solves through the one stepping path.
 
-    Both paths step the identical 100-rack, 800-tenant cluster one epoch per
+    Both rows step the identical 100-rack, 800-tenant cluster one epoch per
     step with epoch skipping disabled, so every step pays a full cross-rack
-    contention re-solve.  The per-rack row drives the scalar reference
-    solver through N independent ``RackCoSimulator.step`` calls; the batched
-    row advances all racks under frozen backgrounds and folds the rollovers
-    into one vectorized ``resolve_racks`` call.  ``extra.speedup_vs_per_rack``
-    on the batched row is the acceptance number: it must stay >= 2.
+    contention re-solve.  Every rack advances through ``step_frozen`` and
+    all racks roll over in one ``resolve_racks`` call; the per-rack row's
+    scalar fabric runs that call as 100 reference solves, the batched row's
+    vectorized fabric as one NumPy solve.  ``extra.speedup_vs_per_rack`` on
+    the batched row is the acceptance number: it must stay >= 2.
     """
     steps = 6 if quick else 30
     config = {
@@ -438,11 +438,8 @@ def bench_cluster_step_batched(quick: bool) -> list[dict]:
     }
     rows = []
     walls = {}
-    for label, solver, batched in (
-        ("per_rack", "scalar", False),
-        ("batched", "vectorized", True),
-    ):
-        sim = _batched_cluster(solver, batched)
+    for label, solver in (("per_rack", "scalar"), ("batched", "vectorized")):
+        sim = _batched_cluster(solver)
         epoch = sim.epoch_seconds
         start = time.perf_counter()
         for _ in range(steps):
@@ -458,7 +455,7 @@ def bench_cluster_step_batched(quick: bool) -> list[dict]:
             {
                 "name": f"cluster_step_batched.{label}",
                 "group": "cluster_step_batched",
-                "config": {**config, "solver": solver, "batched_stepping": batched},
+                "config": {**config, "solver": solver},
                 "repeats": steps,
                 "mean_s": wall / steps,
                 "min_s": wall / steps,
