@@ -15,7 +15,7 @@ optimisation options considered in Section 7.1 can be expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from .objects import (
 
 #: Sentinel tier index for pages that have not been touched yet.
 UNPLACED = -1
+
+#: A batch of page ids: a contiguous ``range`` (placed by slice assignment)
+#: or an index array (interleaving's strided buckets).
+PageChunk = Union[range, np.ndarray]
 
 
 @dataclass
@@ -112,17 +116,22 @@ class TieredMemory:
         """How many whole pages still fit in ``tier``."""
         return max(self._usage[tier].free_bytes // self.page_bytes, 0)
 
-    def _place_pages(self, pages: np.ndarray, tier: int) -> None:
+    def _place_pages(self, chunks: Sequence[PageChunk], tier: int) -> None:
         """Place previously-unplaced pages into ``tier`` and charge capacity."""
-        if len(pages) == 0:
+        n_pages = sum(len(chunk) for chunk in chunks)
+        if n_pages == 0:
             return
-        n_bytes = len(pages) * self.page_bytes
+        n_bytes = n_pages * self.page_bytes
         if n_bytes > self._usage[tier].free_bytes:
             raise AllocationError(
-                f"tier {self._usage[tier].name!r} cannot hold {len(pages)} more pages "
+                f"tier {self._usage[tier].name!r} cannot hold {n_pages} more pages "
                 f"({self._usage[tier].free_bytes} bytes free) — out of memory"
             )
-        self._page_tier[pages] = tier
+        for chunk in chunks:
+            if isinstance(chunk, range):
+                self._page_tier[chunk.start : chunk.stop] = tier
+            else:
+                self._page_tier[chunk] = tier
         self._usage[tier].used_bytes += n_bytes
 
     # -- placement ------------------------------------------------------------
@@ -143,8 +152,14 @@ class TieredMemory:
         array in place).
         """
         self._grow_page_table()
-        unplaced = np.flatnonzero(self._page_view(obj) == UNPLACED) + obj.first_page
-        if len(unplaced) == 0:
+        starts, tiers = self.page_runs(obj)
+        stops = np.append(starts[1:], obj.n_pages)
+        free_runs = tiers == UNPLACED
+        unplaced = [
+            range(obj.first_page + int(start), obj.first_page + int(stop))
+            for start, stop in zip(starts[free_runs], stops[free_runs])
+        ]
+        if not unplaced:
             return self.placement_of(obj)
 
         if obj.placement == PLACEMENT_LOCAL:
@@ -152,25 +167,34 @@ class TieredMemory:
         elif obj.placement == PLACEMENT_REMOTE:
             self._place_pages(unplaced, len(self._usage) - 1)
         elif obj.placement == PLACEMENT_INTERLEAVE:
-            self._place_interleaved(unplaced)
+            self._place_interleaved(np.concatenate([np.arange(r.start, r.stop) for r in unplaced]))
         elif obj.placement == PLACEMENT_FIRST_TOUCH:
             self._place_first_touch(unplaced)
         else:  # pragma: no cover - validated at object construction
             raise PlacementError(f"unknown placement policy {obj.placement!r}")
         return self.placement_of(obj)
 
-    def _place_first_touch(self, pages: np.ndarray) -> None:
-        remaining = pages
+    def _place_first_touch(self, chunks: Sequence[PageChunk]) -> None:
+        """Fill the tiers top-down with ``chunks``' pages, in order."""
+        remaining = list(chunks)
         for tier in range(len(self._usage)):
-            if len(remaining) == 0:
+            if not remaining:
                 return
-            fit = min(self._free_pages_in(tier), len(remaining))
-            if fit > 0:
-                self._place_pages(remaining[:fit], tier)
-                remaining = remaining[fit:]
-        if len(remaining) > 0:
+            room = self._free_pages_in(tier)
+            taken: list[PageChunk] = []
+            while remaining and room > 0:
+                chunk = remaining[0]
+                if len(chunk) <= room:
+                    taken.append(remaining.pop(0))
+                    room -= len(chunk)
+                else:
+                    taken.append(chunk[:room])
+                    remaining[0] = chunk[room:]
+                    room = 0
+            self._place_pages(taken, tier)
+        if remaining:
             raise AllocationError(
-                f"out of memory: {len(remaining)} pages do not fit in any tier"
+                f"out of memory: {sum(len(c) for c in remaining)} pages do not fit in any tier"
             )
 
     def _place_interleaved(self, pages: np.ndarray) -> None:
@@ -180,11 +204,11 @@ class TieredMemory:
         overflow: list[np.ndarray] = []
         for tier, bucket in enumerate(buckets):
             fit = min(self._free_pages_in(tier), len(bucket))
-            self._place_pages(bucket[:fit], tier)
+            self._place_pages([bucket[:fit]], tier)
             if fit < len(bucket):
                 overflow.append(bucket[fit:])
         if overflow:
-            self._place_first_touch(np.concatenate(overflow))
+            self._place_first_touch([np.concatenate(overflow)])
 
     def touch_in_order(self, objects: Sequence[MemoryObject]) -> None:
         """First-touch a list of objects in the given order.
@@ -251,6 +275,21 @@ class TieredMemory:
         self._grow_page_table()
         return self._page_view(obj).copy()
 
+    def page_runs(self, obj: MemoryObject) -> tuple[np.ndarray, np.ndarray]:
+        """Maximal same-tier page runs of ``obj``: ``(starts, tiers)``.
+
+        ``starts`` are page offsets within the object (the first is 0); run
+        ``i`` covers pages ``starts[i]`` up to ``starts[i + 1]`` (the last
+        run ends at ``obj.n_pages``) and lives in tier ``tiers[i]``, or is
+        UNPLACED.  An object with no pages has no runs.
+        """
+        self._grow_page_table()
+        view = self._page_view(obj)
+        starts = np.flatnonzero(view[1:] != view[:-1]) + 1
+        if len(view):
+            starts = np.concatenate(([0], starts))
+        return starts, view[starts]
+
     def page_tiers(self) -> np.ndarray:
         """Tier index of every page in the address space."""
         self._grow_page_table()
@@ -268,11 +307,17 @@ class TieredMemory:
 
     def object_tier_bytes(self, obj: MemoryObject) -> dict[str, int]:
         """Bytes of ``obj`` resident in each tier, keyed by tier name."""
-        placement = self.placement_of(obj)
-        result = {}
-        for tier, usage in enumerate(self._usage):
-            result[usage.name] = int((placement == tier).sum()) * self.page_bytes
-        return result
+        starts, tiers = self.page_runs(obj)
+        placed = tiers != UNPLACED
+        pages = np.bincount(
+            tiers[placed],
+            weights=np.diff(starts, append=obj.n_pages)[placed],
+            minlength=len(self._usage),
+        )
+        return {
+            usage.name: int(pages[tier]) * self.page_bytes
+            for tier, usage in enumerate(self._usage)
+        }
 
     def resident_bytes(self, tier: int) -> int:
         """Application bytes resident in ``tier`` (excludes reserved waste)."""

@@ -44,6 +44,10 @@ class SensitivityCurve:
             raise ProfilerError("LoI levels and runtimes must have equal length")
         if not self.loi_levels or self.loi_levels[0] != 0.0:
             raise ProfilerError("the first LoI level must be 0 (the baseline)")
+        if any(b <= a for a, b in zip(self.loi_levels, self.loi_levels[1:])):
+            raise ProfilerError(
+                f"LoI levels must be strictly increasing, got {self.loi_levels}"
+            )
 
     @property
     def baseline_runtime(self) -> float:
@@ -80,12 +84,9 @@ class InterferenceReport:
     phase_interference_coefficients: tuple[tuple[str, float], ...]
     remote_bandwidth_demand: float
     link_traffic_bytes: float
-
-    @property
-    def induced_loi(self) -> float:
-        """Average LoI this application's own traffic generates on the link."""
-        # The IC and the LoI are two views of the same injected traffic.
-        return self.sensitivity.loi_levels[0] if not self.remote_bandwidth_demand else 0.0
+    #: Average LoI this application's own traffic generates on the link: its
+    #: remote bandwidth demand expressed as a Level of Interference.
+    induced_loi: float
 
 
 class Level3Profiler:
@@ -108,10 +109,16 @@ class Level3Profiler:
         """Runtime of ``spec`` under each injected LoI on ``platform``."""
         if platform.tier_config is None:
             raise ProfilerError("Level-3 profiling requires a pooled platform")
-        levels = tuple(float(l) for l in loi_levels)
-        if not levels or levels[0] != 0.0:
-            levels = (0.0,) + tuple(l for l in levels if l != 0.0)
-        engine = ExecutionEngine(platform, seed=self.seed)
+        return self._sensitivity(ExecutionEngine(platform, seed=self.seed), spec, loi_levels)
+
+    @staticmethod
+    def _sensitivity(
+        engine: ExecutionEngine, spec: WorkloadSpec, loi_levels: Sequence[float]
+    ) -> SensitivityCurve:
+        # The curve interpolates over increasing LoI, starting at the baseline.
+        levels = tuple(sorted({0.0, *(float(l) for l in loi_levels)}))
+        if levels[0] < 0.0:
+            raise ProfilerError(f"LoI levels must be non-negative, got {levels[0]}")
         runtimes = []
         for loi in levels:
             interference = ConstantInterference(loi) if loi > 0 else None
@@ -119,7 +126,7 @@ class Level3Profiler:
             runtimes.append(run.total_runtime)
         return SensitivityCurve(
             workload=spec.name,
-            config_label=platform.label,
+            config_label=engine.platform.label,
             loi_levels=levels,
             runtimes=tuple(runtimes),
         )
@@ -157,15 +164,18 @@ class Level3Profiler:
             phase_ics.append((phase.name, ic))
             weighted_ic += ic * phase.runtime / total_time
 
-        sensitivity = self.sensitivity(spec, platform)
+        # The same engine reuses the baseline run's page layout for the sweep.
+        sensitivity = self._sensitivity(engine, spec, self.DEFAULT_LOI_LEVELS)
+        remote_bandwidth_demand = run.total_remote_bytes / total_time
         return InterferenceReport(
             workload=spec.name,
             config_label=platform.label,
             sensitivity=sensitivity,
             interference_coefficient=weighted_ic,
             phase_interference_coefficients=tuple(phase_ics),
-            remote_bandwidth_demand=run.total_remote_bytes / total_time,
+            remote_bandwidth_demand=remote_bandwidth_demand,
             link_traffic_bytes=run.counters[events.UPI_TRAFFIC_BYTES],
+            induced_loi=platform.link.loi(remote_bandwidth_demand),
         )
 
     def interference_coefficients(

@@ -14,7 +14,7 @@ the equivalent front end for the simulator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..cache.events import CounterSet
@@ -166,15 +166,8 @@ class MultiLevelProfiler:
         profiler = Level3Profiler(seed=self.seed)
         report = profiler.interference_coefficient(spec, platform)
         if tuple(loi_levels) != Level3Profiler.DEFAULT_LOI_LEVELS:
-            sensitivity = profiler.sensitivity(spec, platform, loi_levels)
-            report = InterferenceReport(
-                workload=report.workload,
-                config_label=report.config_label,
-                sensitivity=sensitivity,
-                interference_coefficient=report.interference_coefficient,
-                phase_interference_coefficients=report.phase_interference_coefficients,
-                remote_bandwidth_demand=report.remote_bandwidth_demand,
-                link_traffic_bytes=report.link_traffic_bytes,
+            report = replace(
+                report, sensitivity=profiler.sensitivity(spec, platform, loi_levels)
             )
         return report
 

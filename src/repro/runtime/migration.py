@@ -26,12 +26,9 @@ from ..config.errors import ConfigurationError
 from ..memory.objects import MemoryObject
 from ..memory.tiered import TieredMemory
 from ..sim.engine import ExecutionEngine
-from ..sim.interference import InterferenceSource
 from ..sim.results import PhaseResult, TimeBreakdown
 from ..workloads.base import PhaseSpec
-from ..cache import events
 from ..cache.events import CounterSet
-from ..sim.perfmodel import PhaseInputs
 
 
 @dataclass(frozen=True)
@@ -209,15 +206,36 @@ class MigratingExecutionEngine(ExecutionEngine):
 
     # -- phase execution in epochs -----------------------------------------------------------
 
-    def _run_phase(self, spec, phase, memory, objects, rng, prefetch, interference, clock):
-        baseline = super()._run_phase(spec, phase, memory, objects, rng, prefetch, interference, clock)
+    def _execute(self, spec, prefetch, interference, reserved_local_bytes):
+        # Promotions move pages while the phases run, so every run walks its
+        # own live memory instead of evaluating a reusable layout.
+        rng = np.random.default_rng(self.seed)
+        memory, objects = self._build_memory(spec, reserved_local_bytes)
+        phase_results: list[PhaseResult] = []
+        clock = 0.0
+        for phase in self._live_phases(spec, memory, objects):
+            result = self._run_phase(phase, memory, objects, rng, prefetch, interference, clock)
+            phase_results.append(result)
+            clock += result.runtime
+        return tuple(phase_results), self._placements(memory, objects), memory.remote_capacity_ratio()
+
+    def _run_phase(self, phase, memory, objects, rng, prefetch, interference, clock):
+        stream_fraction = self._phase_stream_fraction(phase, objects)
+        baseline = self._evaluate_phase(
+            phase,
+            self._tier_traffic(phase, memory, objects, rng),
+            stream_fraction,
+            prefetch,
+            interference,
+            clock,
+        )
         n_epochs = max(int(np.ceil(baseline.runtime / self.policy.epoch_seconds)), 1)
         if n_epochs <= 1 or len(memory.usage) < 2:
             self._epochs += n_epochs
             return baseline
 
         hot_pages, hot_counts = self._page_hotness(phase, memory, objects, rng)
-        line_bytes = self.platform.testbed.cacheline_bytes
+        epoch_fraction = 1.0 / n_epochs
         counters = CounterSet()
         total_runtime = 0.0
         total_local = 0.0
@@ -232,51 +250,30 @@ class MigratingExecutionEngine(ExecutionEngine):
                 migration_time = self._promote_hot_pages(hot_pages, hot_counts, memory)
                 migration_time_total += migration_time
                 self._migration_seconds += migration_time
-            epoch_fraction = 1.0 / n_epochs
             traffic = self._tier_traffic(phase, memory, objects, rng)
-            local_bytes = traffic.local * epoch_fraction
-            remote_bytes = traffic.remote * epoch_fraction
-            stream_fraction = self._phase_stream_fraction(phase, objects)
-            cache_stats = self.platform.cache_model.stats_from_fraction(
-                demand_dram_bytes=phase.dram_bytes * epoch_fraction,
-                stream_fraction=stream_fraction,
-                write_fraction=phase.write_fraction,
-                accuracy_hint=phase.prefetch_accuracy_hint,
-                prefetch_enabled=prefetch,
-            )
             background = interference.background_bandwidth(
                 self.platform.link, clock + total_runtime
             )
-            breakdown = self.platform.performance_model.phase_time(
-                PhaseInputs(
-                    flops=phase.flops * epoch_fraction,
-                    local_demand_bytes=local_bytes,
-                    remote_demand_bytes=remote_bytes,
-                    prefetch_coverage=cache_stats.covered_fraction,
-                    mlp=phase.mlp,
-                    background_bandwidth=background,
-                )
+            cache_stats, breakdown = self._phase_model(
+                phase, traffic, stream_fraction, prefetch, background, share=epoch_fraction
             )
             breakdowns.append(breakdown)
             counters = counters.merged(cache_stats.counters)
             total_runtime += breakdown.runtime
-            total_local += local_bytes
-            total_remote += remote_bytes
+            total_local += traffic.local * epoch_fraction
+            total_remote += traffic.remote * epoch_fraction
 
         total_runtime += migration_time_total
         self._epochs += n_epochs
-        counters.set(events.FP_ARITH_OPS, phase.flops)
-        counters.set(events.ELAPSED_SECONDS, total_runtime)
-        counters.set(events.OFFCORE_LOCAL_DRAM, total_local / line_bytes)
-        counters.set(events.OFFCORE_REMOTE_DRAM, total_remote / line_bytes)
-        own_remote_bw = total_remote / max(total_runtime, 1e-12)
-        background = interference.background_bandwidth(self.platform.link, clock)
-        counters.set(
-            events.UPI_TRAFFIC_BYTES,
-            self.platform.link.measured_traffic(own_remote_bw + background) * total_runtime,
+        utilization = self._set_phase_counters(
+            counters,
+            phase,
+            total_runtime,
+            total_local,
+            total_remote,
+            total_remote / max(total_runtime, 1e-12),
+            baseline.background_bandwidth,
         )
-        utilization = self.platform.link.utilization(own_remote_bw + background)
-        counters.set(events.UPI_UTILIZATION, utilization)
 
         merged_breakdown = TimeBreakdown(
             compute_time=sum(b.compute_time for b in breakdowns),

@@ -7,7 +7,9 @@ A workload kernel's traffic to a data object is described by an
   core would issue them (used by the cache and prefetcher simulator),
 * produce per-page *hotness weights*, i.e. how the object's traffic is spread
   across its footprint (used by the bandwidth-capacity scaling curves and the
-  tier-access analysis), and
+  tier-access analysis),
+* produce the same weights summed over contiguous *page runs* (used by the
+  execution engine, which only needs each same-tier extent's share), and
 * report its *stream fraction*, the share of accesses that belong to
   prefetcher-detectable sequential/strided streams (used by the analytical
   prefetch model when the sampled stream is too small to be representative).
@@ -38,6 +40,29 @@ class AccessPattern(Protocol):
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
         """Relative access weight of each page of the object (sums to 1)."""
         ...
+
+    def run_weights(
+        self, n_pages: int, starts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Access weight of each page run: ``np.add.reduceat(page_weights, starts)``.
+
+        ``starts`` are the increasing first-page offsets of the runs, the
+        first one 0; run ``i`` ends where run ``i + 1`` starts (the last one
+        at ``n_pages``).  Consumes ``rng`` exactly as :meth:`page_weights`
+        does, so either call leaves the generator in the same state.
+        Patterns with a closed form never build a per-page array.
+        """
+        ...
+
+
+def _run_lengths(n_pages: int, starts: np.ndarray) -> np.ndarray:
+    """Page count of each run given its start offset."""
+    return np.diff(starts, append=n_pages)
+
+
+def _uniform_run_weights(n_pages: int, starts: np.ndarray) -> np.ndarray:
+    """Run weights of a pattern that spreads traffic evenly over the pages."""
+    return _run_lengths(n_pages, starts) / max(n_pages, 1)
 
 
 def _normalise(weights: np.ndarray) -> np.ndarray:
@@ -75,6 +100,11 @@ class SequentialPattern:
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n_pages, 1.0 / max(n_pages, 1))
 
+    def run_weights(
+        self, n_pages: int, starts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        return _uniform_run_weights(n_pages, starts)
+
 
 @dataclass(frozen=True)
 class StridedPattern:
@@ -104,6 +134,11 @@ class StridedPattern:
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n_pages, 1.0 / max(n_pages, 1))
 
+    def run_weights(
+        self, n_pages: int, starts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        return _uniform_run_weights(n_pages, starts)
+
 
 @dataclass(frozen=True)
 class RandomPattern:
@@ -125,6 +160,11 @@ class RandomPattern:
 
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n_pages, 1.0 / max(n_pages, 1))
+
+    def run_weights(
+        self, n_pages: int, starts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        return _uniform_run_weights(n_pages, starts)
 
 
 @dataclass(frozen=True)
@@ -172,6 +212,11 @@ class ZipfPattern:
         rng.shuffle(weights)
         return weights
 
+    def run_weights(
+        self, n_pages: int, starts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        return np.add.reduceat(self.page_weights(n_pages, rng), starts)
+
 
 @dataclass(frozen=True)
 class HotColdPattern:
@@ -214,6 +259,20 @@ class HotColdPattern:
         weights[:hot_pages] += self.hot_traffic / hot_pages
         return _normalise(weights)
 
+    def run_weights(
+        self, n_pages: int, starts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        if n_pages <= 0:
+            return np.empty(0, dtype=np.float64)
+        # Closed form of page_weights summed per run: every page carries the
+        # cold share, and the pages of the hot prefix carry the hot share too.
+        hot_pages = max(int(round(n_pages * self.hot_fraction)), 1)
+        cold = (1.0 - self.hot_traffic) / n_pages
+        hot = self.hot_traffic / hot_pages
+        lengths = _run_lengths(n_pages, starts)
+        hot_lengths = np.clip(hot_pages - starts, 0, lengths)
+        return (lengths * cold + hot_lengths * hot) / (n_pages * cold + hot_pages * hot)
+
 
 @dataclass(frozen=True)
 class BlockedPattern:
@@ -246,6 +305,11 @@ class BlockedPattern:
 
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n_pages, 1.0 / max(n_pages, 1))
+
+    def run_weights(
+        self, n_pages: int, starts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        return _uniform_run_weights(n_pages, starts)
 
 
 @dataclass(frozen=True)
@@ -296,6 +360,11 @@ class GatherPattern:
         return _normalise(
             (1.0 - self.indexed_fraction) * uniform + self.indexed_fraction * skewed
         )
+
+    def run_weights(
+        self, n_pages: int, starts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        return np.add.reduceat(self.page_weights(n_pages, rng), starts)
 
 
 #: Registry of pattern names usable from configuration files / CLI.

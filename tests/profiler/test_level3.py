@@ -50,6 +50,24 @@ class TestSensitivityCurve:
         with pytest.raises(ProfilerError):
             SensitivityCurve("w", "c", (0.0, 20.0), (1.0,))
 
+    @pytest.mark.parametrize("levels", [(0.0, 30.0, 10.0), (0.0, 10.0, 10.0)])
+    def test_curve_rejects_non_increasing_levels(self, levels):
+        with pytest.raises(ProfilerError, match="strictly increasing"):
+            SensitivityCurve("w", "c", levels, (1.0, 1.2, 1.1))
+
+    def test_out_of_order_levels_are_sorted(self, profiler, hypre_spec, hypre_platform):
+        ordered = profiler.sensitivity(hypre_spec, hypre_platform, (0, 10, 30))
+        shuffled = profiler.sensitivity(hypre_spec, hypre_platform, (30, 0, 10, 30))
+        assert shuffled == ordered
+        assert shuffled.loi_levels == (0.0, 10.0, 30.0)
+        # The loss is read at the highest LoI and interpolation sees rising levels.
+        assert shuffled.max_performance_loss == pytest.approx(0.0636, abs=5e-4)
+        assert shuffled.slowdown_at(20.0) == pytest.approx(1.0493, abs=5e-4)
+
+    def test_negative_levels_are_rejected(self, profiler, hypre_spec, hypre_platform):
+        with pytest.raises(ProfilerError, match="non-negative"):
+            profiler.sensitivity(hypre_spec, hypre_platform, (0, -10))
+
     def test_across_configs(self, profiler, hypre_spec):
         curves = profiler.sensitivity_across_configs(hypre_spec, (0.75, 0.25), (0, 50))
         assert set(curves) == {"75-25", "25-75"}
@@ -64,6 +82,11 @@ class TestInterferenceCoefficient:
         assert report.remote_bandwidth_demand > 0
         assert report.link_traffic_bytes > 0
         assert dict(report.phase_interference_coefficients).keys() == {"p1", "p2"}
+
+    def test_induced_loi_is_the_remote_demand_as_loi(self, profiler, hypre_spec, hypre_platform):
+        report = profiler.interference_coefficient(hypre_spec, hypre_platform)
+        assert report.induced_loi > 0
+        assert report.induced_loi == hypre_platform.link.loi(report.remote_bandwidth_demand)
 
     def test_memory_bound_apps_cause_more_interference(self, profiler):
         specs = [build_workload(name, 1.0) for name in ("Hypre", "XSBench")]

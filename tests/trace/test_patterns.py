@@ -217,3 +217,50 @@ def test_patterns_are_deterministic_given_seed(seed):
         a = pattern.sample_offsets(1000, 200, np.random.default_rng(seed))
         b = pattern.sample_offsets(1000, 200, np.random.default_rng(seed))
         np.testing.assert_array_equal(a, b)
+
+
+# -- run weights: the engine's per-run view of page_weights ----------------------------
+
+
+@st.composite
+def _pattern_and_runs(draw):
+    name = draw(st.sampled_from(sorted(PATTERNS)))
+    if name == "hotcold":
+        pattern = HotColdPattern(
+            hot_fraction=draw(st.floats(min_value=1e-3, max_value=1.0)),
+            hot_traffic=draw(st.floats(min_value=0.0, max_value=1.0)),
+        )
+    else:
+        pattern = make_pattern(name)
+    n_pages = draw(st.integers(min_value=1, max_value=5000))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=max(n_pages - 1, 1)), max_size=40))
+    starts = np.array([0] + sorted(c for c in cuts if c < n_pages), dtype=np.int64)
+    return pattern, n_pages, starts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_pattern_and_runs(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_run_weights_match_reduced_page_weights(case, seed):
+    pattern, n_pages, starts = case
+    by_page, by_run = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = np.add.reduceat(pattern.page_weights(n_pages, by_page), starts)
+    shares = pattern.run_weights(n_pages, starts, by_run)
+    assert shares.shape == starts.shape
+    np.testing.assert_allclose(shares, expected, rtol=1e-12, atol=0.0)
+    # Both calls leave the generator in the same state.
+    assert by_run.integers(2**62) == by_page.integers(2**62)
+
+
+@pytest.mark.parametrize("name", ["sequential", "strided", "random", "blocked", "hotcold"])
+def test_closed_form_run_weights_never_build_a_page_array(name, rng):
+    # 10^12 pages would need terabytes as a per-page array.
+    n_pages = 10**12
+    starts = np.array([0, 7, 10**11, 5 * 10**11], dtype=np.int64)
+    shares = make_pattern(name).run_weights(n_pages, starts, rng)
+    assert shares.sum() == pytest.approx(1.0, rel=1e-12)
+    assert np.all(shares > 0)
+
+
+def test_run_weights_of_empty_object(rng):
+    for pattern in ALL_PATTERNS:
+        assert len(pattern.run_weights(0, np.empty(0, dtype=np.int64), rng)) == 0
