@@ -50,7 +50,7 @@ from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
 from ..interconnect.link import RemoteLink
 from ..interconnect.queueing import QueueingModel
 from ..telemetry import metrics, trace_span
-from .cosim import EpochCheckpoint, RackCoSimulator, TenantSpec
+from .cosim import EpochCheckpoint, RackCoSimulator, TenantSpec, _step_to
 from .faults import BlastRadiusReport, FaultSchedule, TenantImpact
 from .pool import LEASE_GRANTED, LEASE_QUEUED, LEASE_REJECTED, MemoryPool
 from .solver import (
@@ -472,7 +472,7 @@ class ClusterCoSimulator:
         # of which rack they land on.
         shared_cache: dict = {}
         for sim in self.rack_sims:
-            sim._inc_cache = shared_cache
+            sim._run_state.profiles = shared_cache
         self.cluster_pool = (
             MemoryPool(cluster_pool_bytes, name="cluster-pool")
             if cluster_pool_bytes
@@ -581,13 +581,13 @@ class ClusterCoSimulator:
         admitted into the rack with a zero-byte rack lease (the rack pool's
         accounting is untouched); its pool traffic rides the rack uplink and
         the spine from the next recoupling on.  Returns the lease that holds
-        the tenant's actual capacity (rack- or cluster-pool).
+        the tenant's actual capacity (rack- or cluster-pool).  ``time`` steps
+        the cluster forward to it first; a ``time`` in the past raises.
         """
         if spec.name in self._tenant_rack:
             raise FabricError(f"tenant {spec.name!r} is already admitted")
         sim = self.rack_sim(rack)
-        if time is not None and time > self._clock:
-            self.step(time - self._clock)
+        _step_to(self, time, "admit")
         spill_lease = None
         rack_spec = spec
         if (
@@ -606,21 +606,24 @@ class ClusterCoSimulator:
         self._tenant_rack[spec.name] = rack
         if spill_lease is not None:
             self._spilled[spec.name] = spill_lease
-        if self._epoch is None and sim._inc_epoch is not None:
-            self._epoch = sim._inc_epoch
+        if self._epoch is None:
+            self._epoch = sim._run_state.epoch
         if self._epoch is not None:
             for other in self.rack_sims:
-                if other._inc_epoch is None:
-                    other._inc_epoch = self._epoch
+                if other._run_state.epoch is None:
+                    other._run_state.epoch = self._epoch
         self._recouple()
         return spill_lease if spill_lease is not None else rack_lease
 
     def withdraw(self, name: str, time: Optional[float] = None) -> None:
-        """Remove a tenant, returning its rack- or cluster-pool lease."""
+        """Remove a tenant, returning its rack- or cluster-pool lease.
+
+        ``time`` steps the cluster forward to it first; a ``time`` in the
+        past raises.
+        """
         rack = self.rack_of(name)
         sim = self.rack_sims[rack]
-        if time is not None and time > self._clock:
-            self.step(time - self._clock)
+        _step_to(self, time, "withdraw")
         state = sim.tenant_states.get(name)
         if state is not None and sim._faults_active:
             self._fault_impacts.append(sim._impact_of(state))
@@ -640,8 +643,9 @@ class ClusterCoSimulator:
         """Advance all racks ``dt`` wall-seconds in one cluster epoch loop.
 
         Racks step in lockstep chunks bounded by the cluster epoch, each
-        through the fault-aware :meth:`~repro.fabric.cosim.RackCoSimulator.
-        step_frozen` kernel.  At every cluster epoch boundary all due racks
+        through the rack's own sub-epoch loop (the one behind
+        :meth:`~repro.fabric.cosim.RackCoSimulator.step`) minus its trailing
+        rollover.  At every cluster epoch boundary all due racks
         roll over in one call whose dirty-rack solves batch through
         :meth:`ClusterFabric.resolve_racks` (per-rack reference solves when
         the fabric's solver is ``"scalar"``), and the inter-rack coupling
@@ -670,41 +674,13 @@ class ClusterCoSimulator:
                     self._rollover_cluster_epoch()
                     continue
                 for sim in self.rack_sims:
-                    self._step_rack_frozen(sim, chunk, done)
+                    sim._step_epochs(chunk, done, rollover=False)
                 self._clock += chunk
                 self._epoch_elapsed += chunk
                 remaining -= chunk
                 if self._epoch_elapsed >= self._epoch - 1e-12:
                     self._rollover_cluster_epoch()
         return done
-
-    def _step_rack_frozen(
-        self, sim: RackCoSimulator, chunk: float, done: dict[str, float]
-    ) -> None:
-        """Advance one rack ``chunk`` seconds through its frozen-epoch kernel.
-
-        In the common case (rack epochs aligned with the cluster epoch) this
-        is a single :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen`
-        call and the rack's rollover happens batched at the cluster boundary.
-        A rack whose epoch phase drifted from the cluster's (an admission,
-        withdrawal or fault forces a rack rollover, restarting its epoch)
-        rolls itself over mid-chunk exactly where :meth:`~repro.fabric.cosim.
-        RackCoSimulator.step` would.
-        """
-        remaining = float(chunk)
-        while remaining > 1e-15:
-            sub = min(
-                remaining, max(sim._inc_epoch - sim._inc_epoch_elapsed, 0.0)
-            )
-            if sub <= 0:
-                sim._rollover_epoch()
-                continue
-            for name, amount in sim.step_frozen(sub).items():
-                if amount:
-                    done[name] = done.get(name, 0.0) + amount
-            remaining -= sub
-            if remaining > 1e-15 and sim.epoch_due():
-                sim._rollover_epoch()
 
     def _rollover_cluster_epoch(self) -> None:
         """Roll every due rack over in one call, then recouple the racks.
@@ -832,6 +808,30 @@ class ClusterCoSimulator:
 
     # -- closed-loop convenience --------------------------------------------------------
 
+    def _retire_unfinished(self, outcomes: list[ClusterTenantOutcome]) -> None:
+        """Record every admitted tenant as unfinished and withdraw it."""
+        for name, rack in list(self._tenant_rack.items()):
+            state = self.rack_sims[rack].tenant_states.get(name)
+            outcomes.append(
+                ClusterTenantOutcome(
+                    name=name,
+                    rack=rack,
+                    node=state.node if state is not None else -1,
+                    spilled=name in self._spilled,
+                    lease_state=(
+                        state.lease.state
+                        if state is not None and state.lease is not None
+                        else LEASE_REJECTED
+                    ),
+                    start_time=None,
+                    finish_time=None,
+                    baseline_runtime=(
+                        state.baseline_runtime if state is not None else 0.0
+                    ),
+                )
+            )
+            self.withdraw(name)
+
     def run_to_completion(self) -> dict:
         """Step until every admitted tenant finishes (or can never run).
 
@@ -882,27 +882,7 @@ class ClusterCoSimulator:
             if running == 0 and not finished:
                 # Everything left is queued behind capacity nothing will
                 # release: record and stop rather than spinning.
-                for name, rack in list(self._tenant_rack.items()):
-                    state = self.rack_sims[rack].tenant_states.get(name)
-                    outcomes.append(
-                        ClusterTenantOutcome(
-                            name=name,
-                            rack=rack,
-                            node=state.node if state is not None else -1,
-                            spilled=name in self._spilled,
-                            lease_state=(
-                                state.lease.state
-                                if state is not None and state.lease is not None
-                                else LEASE_REJECTED
-                            ),
-                            start_time=None,
-                            finish_time=None,
-                            baseline_runtime=(
-                                state.baseline_runtime if state is not None else 0.0
-                            ),
-                        )
-                    )
-                    self.withdraw(name)
+                self._retire_unfinished(outcomes)
                 break
             if finished:
                 continue
@@ -912,34 +892,14 @@ class ClusterCoSimulator:
                 and not self.faults_pending()
                 and not any(r > 0.0 for r in self.progress_rates().values())
                 and not any(
-                    s.running and s.migration_debt > 0.0
+                    s.running and s.progress.migration_debt > 0.0
                     for sim in self.rack_sims
                     for s in sim.tenant_states.values()
                 )
             ):
                 # Fault-stalled forever — e.g. a killed port that is never
                 # restored: record the survivors as unfinished and stop.
-                for name, rack in list(self._tenant_rack.items()):
-                    state = self.rack_sims[rack].tenant_states.get(name)
-                    outcomes.append(
-                        ClusterTenantOutcome(
-                            name=name,
-                            rack=rack,
-                            node=state.node if state is not None else -1,
-                            spilled=name in self._spilled,
-                            lease_state=(
-                                state.lease.state
-                                if state is not None and state.lease is not None
-                                else LEASE_REJECTED
-                            ),
-                            start_time=None,
-                            finish_time=None,
-                            baseline_runtime=(
-                                state.baseline_runtime if state is not None else 0.0
-                            ),
-                        )
-                    )
-                    self.withdraw(name)
+                self._retire_unfinished(outcomes)
                 break
             self.step(self.horizon())
         else:

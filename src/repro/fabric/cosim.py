@@ -49,12 +49,17 @@ and an external scheduler is another, one rack per simulator:
   :meth:`RackCoSimulator.withdraw` when it retires the job.  Unlike
   :meth:`run`, incremental stepping never releases pool leases on its own —
   lease lifetime is exactly job lifetime, owned by the scheduler.
-* **Checkpoint / rollover.**  :meth:`RackCoSimulator.checkpoint` snapshots the
-  epoch state (clock, intra-epoch elapsed time, frozen backgrounds, per-tenant
-  phase progress); :meth:`RackCoSimulator.rollover` rolls the co-simulation
-  back to such a snapshot so speculative steps — e.g. stepping to an estimated
-  completion that an earlier arrival then invalidates — can be re-taken.
-  Checkpoints stay valid only while the tenant mix is unchanged.
+* **Checkpoint / rollover.**  A simulator is configuration (tenants,
+  topology, pool, testbed, seed — fixed after construction) plus run state:
+  one record holding the clock, epoch length and elapsed time, frozen
+  backgrounds, external offsets and solve key, and one progress record per
+  tenant (phase, phase elapsed, finish time and the fault fields — stall,
+  migration debt, revocation, migrated bytes — always included).
+  :meth:`RackCoSimulator.checkpoint` copies those records plus each tenant's
+  background-history length; :meth:`RackCoSimulator.rollover` restores the
+  copies so speculative steps — e.g. stepping to an estimated completion
+  that an earlier arrival then invalidates — can be re-taken.  Checkpoints
+  stay valid only while the tenant mix is unchanged.
 * **Faults.**  An injected :class:`~repro.fabric.faults.FaultSchedule`
   (see :meth:`RackCoSimulator.inject_faults`) fires at exact simulated times:
   the step kernel sub-chunks at fault times, each applied fault forces an
@@ -69,7 +74,7 @@ and an external scheduler is another, one rack per simulator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -175,6 +180,20 @@ def uniform_tenants(
     ]
 
 
+def _step_to(sim, time: Optional[float], action: str) -> None:
+    """Step a rack or cluster simulator forward to ``time`` before ``action``.
+
+    ``None`` stays at the current clock; a time more than 1 ns in the past
+    raises instead of silently acting at the current clock.
+    """
+    if time is None:
+        return
+    if time < sim.clock - 1e-9:
+        raise FabricError(f"cannot {action} a tenant in the past")
+    if time > sim.clock:
+        sim.step(time - sim.clock)
+
+
 @dataclass(frozen=True)
 class _PhaseProfile:
     """Interference-free reference behaviour of one phase of one tenant."""
@@ -193,8 +212,27 @@ class _PhaseProfile:
         return self.remote_bytes / max(self.runtime, 1e-12)
 
 
+@dataclass
+class _Progress:
+    """A tenant's mutable progress: everything a rollback restores per tenant."""
+
+    phase_index: int = 0
+    phase_elapsed: float = 0.0  # baseline-seconds completed in the current phase
+    finish_time: Optional[float] = None
+    # Fault bookkeeping (all zero/None on the fault-free path).
+    stall_seconds: float = 0.0  # wall time lost to faults
+    migration_debt: float = 0.0  # page give-back drain still owed, wall-seconds
+    revoked_at: Optional[float] = None
+    readmit_latency: Optional[float] = None
+    revocations: int = 0
+    migrated_bytes: int = 0
+    # A revocation replaces the lease, so the original grant time (the
+    # tenant's true start for wait/runtime accounting) is stashed here.
+    first_granted_at: Optional[float] = None
+
+
 class _TenantState:
-    """Mutable progress bookkeeping of one tenant during the co-simulation."""
+    """One tenant during the co-simulation: its profile, lease and progress."""
 
     def __init__(self, spec: TenantSpec, node: int) -> None:
         self.spec = spec
@@ -204,35 +242,27 @@ class _TenantState:
         self.perf: Optional[PerformanceModel] = None
         self.phases: tuple[_PhaseProfile, ...] = ()
         self.baseline_runtime = 0.0
-        self.phase_index = 0
-        self.phase_elapsed = 0.0  # baseline-seconds completed in the current phase
-        self.finish_time: Optional[float] = None
+        self.progress = _Progress()
         self.background_times: list[float] = []
         self.background_bandwidths: list[float] = []
         #: One-slot memo of the last rate-model solve: (phase profile,
         #: background, unit time).  See RackCoSimulator._unit_time.
         self.unit_time_memo: Optional[tuple[_PhaseProfile, float, float]] = None
-        # Fault bookkeeping (all zero/None on the fault-free path).
-        self.stall_seconds = 0.0  # wall time lost to faults
-        self.migration_debt = 0.0  # page give-back drain still owed, wall-seconds
-        self.revoked_at: Optional[float] = None
-        self.readmit_latency: Optional[float] = None
-        self.revocations = 0
-        self.migrated_bytes = 0
-        # A revocation replaces the lease, so the original grant time (the
-        # tenant's true start for wait/runtime accounting) is stashed here.
-        self.first_granted_at: Optional[float] = None
 
     @property
     def start_time(self) -> Optional[float]:
         """Grant time of the tenant's *first* lease (survives revocations)."""
-        if self.first_granted_at is not None:
-            return self.first_granted_at
+        if self.progress.first_granted_at is not None:
+            return self.progress.first_granted_at
         return self.lease.granted_at if self.lease is not None else None
 
     @property
+    def finish_time(self) -> Optional[float]:
+        return self.progress.finish_time
+
+    @property
     def finished(self) -> bool:
-        return self.finish_time is not None
+        return self.progress.finish_time is not None
 
     @property
     def running(self) -> bool:
@@ -242,10 +272,30 @@ class _TenantState:
             and not self.finished
         )
 
+    @property
+    def awaiting_regrant(self) -> bool:
+        """Revoked and not yet re-granted: the tenant makes no progress."""
+        progress = self.progress
+        return (
+            progress.finish_time is None
+            and not self.running
+            and progress.revoked_at is not None
+            and progress.readmit_latency is None
+        )
+
+    def record_background(self, time: float, background: float) -> None:
+        """Append a background point (a same-instant point is overwritten)."""
+        if self.background_times and self.background_times[-1] >= time - 1e-12:
+            self.background_bandwidths[-1] = background
+        else:
+            self.background_times.append(time)
+            self.background_bandwidths.append(background)
+
     def current_offered_bandwidth(self) -> float:
-        if self.phase_index >= len(self.phases):
+        index = self.progress.phase_index
+        if index >= len(self.phases):
             return 0.0
-        return self.phases[self.phase_index].offered_bandwidth
+        return self.phases[index].offered_bandwidth
 
 
 @dataclass(frozen=True)
@@ -464,43 +514,62 @@ class RackCoSimResult:
         return summary
 
 
+@dataclass
+class _RunState:
+    """Everything stepping mutates on a rack besides its tenants' progress."""
+
+    clock: float = 0.0
+    #: Epoch length; None until ``epoch_seconds`` or the first tenant sets it.
+    epoch: Optional[float] = None
+    epoch_elapsed: float = 0.0
+    #: The current epoch's frozen background per node, bytes/s.
+    backgrounds: dict[int, float] = field(default_factory=dict)
+    #: External (outside-the-rack) background per node, bytes/s.
+    offsets: dict[int, float] = field(default_factory=dict)
+    #: Signature of the epoch state the current backgrounds were resolved
+    #: for — when the next rollover poses the identical problem, the
+    #: fixed-point solve is skipped (see ``skip_unchanged_epochs``).
+    solve_key: Optional[tuple] = None
+    #: Baseline-profile cache (see ``RackCoSimulator._profile_tenant``).
+    profiles: dict = field(default_factory=dict)
+
+    def copy(self, **changes) -> "_RunState":
+        """A copy whose per-node maps can be mutated independently."""
+        return replace(
+            self, backgrounds=dict(self.backgrounds), offsets=dict(self.offsets), **changes
+        )
+
+
 @dataclass(frozen=True)
 class EpochCheckpoint:
-    """Snapshot of an incrementally-driven co-simulation's epoch state.
+    """Snapshot of an incrementally-driven co-simulation's run state.
 
-    Captures everything :meth:`RackCoSimulator.step` mutates — the simulated
-    clock, how far into the current epoch the simulation is, the epoch's
-    frozen per-node backgrounds and every tenant's phase progress — but *not*
-    the tenant mix or the pool's lease table: those only change through
+    Holds a copy of the rack's run state (clock, epoch length and elapsed
+    time, frozen backgrounds, external offsets, solve key) and of every
+    tenant's progress record (phase progress, finish time and fault
+    fields), plus each tenant's background-history length — but *not* the
+    tenant mix or the pool's lease table: those only change through
     :meth:`RackCoSimulator.admit` / :meth:`RackCoSimulator.withdraw`, which
-    invalidate the checkpoint.  Produced by
-    :meth:`RackCoSimulator.checkpoint`, consumed by
-    :meth:`RackCoSimulator.rollover`.
+    invalidate the checkpoint.  Produced by :meth:`RackCoSimulator.checkpoint`,
+    consumed by :meth:`RackCoSimulator.rollover`.
     """
 
-    clock: float
-    epoch_elapsed: float
-    backgrounds: tuple[tuple[int, float], ...]
-    #: (name, phase_index, phase_elapsed, finish_time) per tenant.
-    tenants: tuple[tuple[str, int, float, Optional[float]], ...]
+    run_state: _RunState
+    #: (name, progress record) per tenant.
+    progress: tuple[tuple[str, _Progress], ...]
     #: (name, background-timeline length) per tenant, for rollback trimming.
     histories: tuple[tuple[str, int], ...]
-    #: (node, bytes/s) external background offsets (cluster spine traffic).
-    offsets: tuple[tuple[int, float], ...] = ()
-    #: Signature of the last resolved epoch, for dirty-epoch skip tracking.
-    #: Restored on rollback so a stale signature can never cause a wrong skip.
-    solve_key: Optional[tuple] = None
     #: Fault-layer mutation count at snapshot time.  Applying a fault (or
     #: re-requesting a revoked lease) mutates pool/lease state a checkpoint
     #: does not capture, so :meth:`RackCoSimulator.rollover` refuses a
     #: checkpoint whose count no longer matches — rollback is bit-identical
     #: only while faults are merely *pending*.
     fault_epoch: int = 0
-    #: (name, stall_seconds, migration_debt, revoked_at, readmit_latency,
-    #: revocations, migrated_bytes, first_granted_at) per tenant; populated
-    #: only once the fault layer is active so fault-free checkpoints are
-    #: unchanged.
-    fault_tenants: tuple = ()
+
+    @property
+    def clock(self) -> float:
+        """Simulated time the checkpoint was taken at, seconds."""
+        return self.run_state.clock
 
 
 class RackCoSimulator:
@@ -540,26 +609,11 @@ class RackCoSimulator:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise FabricError("tenant names must be unique")
-        self.tenants = tuple(tenants)
-        self.testbed = testbed
-        self.topology = (
-            topology
-            if topology is not None
-            else FabricTopology(n_nodes=len(tenants), n_ports=1, testbed=testbed)
-        )
-        if self.topology.n_nodes < len(tenants):
-            raise FabricError(
-                f"fabric has {self.topology.n_nodes} nodes but {len(tenants)} tenants"
-            )
         if pool is None:
-            total = sum(max(t.lease_bytes, 1) for t in tenants)
-            pool = MemoryPool(capacity_bytes=total)
-        self.pool = pool
-        self.seed = int(seed)
-        if epoch_seconds is not None and epoch_seconds <= 0:
-            raise FabricError("epoch_seconds must be positive")
-        self._epoch_seconds = epoch_seconds
-        self._init_incremental()
+            pool = MemoryPool(capacity_bytes=sum(max(t.lease_bytes, 1) for t in tenants))
+        self._setup(
+            tuple(tenants), len(tenants), pool, topology, testbed, epoch_seconds, seed
+        )
 
     @classmethod
     def incremental(
@@ -581,43 +635,44 @@ class RackCoSimulator:
         ``epoch_seconds`` defaults to ~1/40 of the first admitted tenant's
         baseline runtime.
         """
-        if n_nodes <= 0:
-            raise FabricError("the rack needs at least one node")
+        if pool is None:
+            pool = MemoryPool(capacity_bytes=1 << 62)
         sim = cls.__new__(cls)
-        sim.tenants = ()
-        sim.testbed = testbed
-        sim.topology = (
-            topology
-            if topology is not None
-            else FabricTopology(n_nodes=n_nodes, n_ports=1, testbed=testbed)
-        )
-        if sim.topology.n_nodes < n_nodes:
-            raise FabricError(
-                f"fabric has {sim.topology.n_nodes} nodes but {n_nodes} were requested"
-            )
-        sim.pool = pool if pool is not None else MemoryPool(capacity_bytes=1 << 62)
-        sim.seed = int(seed)
-        if epoch_seconds is not None and epoch_seconds <= 0:
-            raise FabricError("epoch_seconds must be positive")
-        sim._epoch_seconds = epoch_seconds
-        sim._init_incremental()
+        sim._setup((), n_nodes, pool, topology, testbed, epoch_seconds, seed)
         return sim
 
-    def _init_incremental(self) -> None:
-        """Reset the state behind the incremental (scheduler-driven) API."""
-        self._inc_states: dict[str, _TenantState] = {}
-        self._inc_cache: dict = {}
-        self._inc_clock = 0.0
-        self._inc_epoch_elapsed = 0.0
-        self._inc_epoch: Optional[float] = self._epoch_seconds
-        self._inc_backgrounds: dict[int, float] = {}
-        self._inc_telemetry = RackTelemetry()
-        #: External (outside-the-rack) background per node, bytes/s.
-        self._inc_offsets: dict[int, float] = {}
-        #: Signature of the epoch state the current backgrounds were resolved
-        #: for — when the next rollover poses the identical problem, the
-        #: fixed-point solve is skipped (see :attr:`skip_unchanged_epochs`).
-        self._inc_solve_key: Optional[tuple] = None
+    def _setup(
+        self,
+        tenants: tuple[TenantSpec, ...],
+        n_nodes: int,
+        pool: MemoryPool,
+        topology: Optional[FabricTopology],
+        testbed: TestbedConfig,
+        epoch_seconds: Optional[float],
+        seed: int,
+    ) -> None:
+        """The one construction path: configuration, then empty run state."""
+        if n_nodes <= 0:
+            raise FabricError("the rack needs at least one node")
+        if topology is None:
+            topology = FabricTopology(n_nodes=n_nodes, n_ports=1, testbed=testbed)
+        if topology.n_nodes < n_nodes:
+            raise FabricError(
+                f"fabric has {topology.n_nodes} nodes but {n_nodes} are needed"
+            )
+        if epoch_seconds is not None and epoch_seconds <= 0:
+            raise FabricError("epoch_seconds must be positive")
+        # Configuration: fixed after construction.
+        self.tenants = tenants
+        self.topology = topology
+        self.pool = pool
+        self.testbed = testbed
+        self.seed = int(seed)
+        # Run state: what checkpoint() copies and rollover() restores, plus
+        # the tenant table and the timelines a rollover trims.
+        self._run_state = _RunState(epoch=epoch_seconds)
+        self._states: dict[str, _TenantState] = {}
+        self._telemetry = RackTelemetry()
         #: Incremental stepping: skip the contention re-solve at epoch
         #: rollovers whose demand vector is unchanged.  Observable behaviour
         #: is identical either way (the skipped solve would reproduce the
@@ -737,17 +792,18 @@ class RackCoSimulator:
         releases and faults therefore land at their exact times.
         """
         with trace_span("fabric.run", tenants=len(self.tenants)):
-            if self._inc_states:
+            if self._states:
                 raise FabricError("run() cannot follow incremental admissions")
-            if self._inc_epoch is None:
+            run_state = self._run_state
+            if run_state.epoch is None:
                 # ~1/40 of the longest baseline runtime across all tenants
                 # (profiles are cached, so the admissions below reuse them).
                 longest = 0.0
                 for spec in self.tenants:
                     probe = _TenantState(spec, node=0)
-                    self._profile_tenant(probe, self._inc_cache)
+                    self._profile_tenant(probe, run_state.profiles)
                     longest = max(longest, probe.baseline_runtime)
-                self._inc_epoch = max(longest / 40.0, 1e-6)
+                run_state.epoch = max(longest / 40.0, 1e-6)
             pending = sorted(
                 range(len(self.tenants)), key=lambda i: self.tenants[i].arrival
             )
@@ -757,20 +813,20 @@ class RackCoSimulator:
                     self._apply_due_faults()
                 while (
                     pending
-                    and self.tenants[pending[0]].arrival <= self._inc_clock + 1e-12
+                    and self.tenants[pending[0]].arrival <= run_state.clock + 1e-12
                 ):
                     idx = pending.pop(0)
                     # Stepping to an arrival may land a rounding error short
                     # of it; the tenant still starts no earlier than it arrives.
-                    self._inc_clock = max(self._inc_clock, self.tenants[idx].arrival)
+                    run_state.clock = max(run_state.clock, self.tenants[idx].arrival)
                     self.admit(self.tenants[idx], node=idx)
                 max_leased = max(max_leased, self.pool.leased_bytes)
-                states = list(self._inc_states.values())
+                states = list(self._states.values())
                 freed = [
                     s for s in states if s.finished and s.lease.state == LEASE_GRANTED
                 ]
                 for state in freed:
-                    self.pool.release(state.lease, time=self._inc_clock)
+                    self.pool.release(state.lease, time=run_state.clock)
                 if freed:
                     self._rollover_epoch(force=True)
                 if not pending and all(s.finished for s in states):
@@ -781,22 +837,22 @@ class RackCoSimulator:
                     # Only a running (possibly stalled) tenant can be changed
                     # by a fault; with nobody running a fault admits no one.
                     targets.append(nxt)
-                future = [t for t in targets if t > self._inc_clock + 1e-12]
+                future = [t for t in targets if t > run_state.clock + 1e-12]
                 if any(r > 0 for r in self.progress_rates().values()) or any(
-                    s.running and s.migration_debt > 0.0 for s in states
+                    s.running and s.progress.migration_debt > 0.0 for s in states
                 ):
                     dt = self.horizon()
-                    self.step(min([dt] + [t - self._inc_clock for t in future]))
+                    self.step(min([dt] + [t - run_state.clock for t in future]))
                 elif future:
                     # Nothing progresses right now; jump to the next arrival
                     # or fault, whichever changes the world first.
-                    self.step(min(future) - self._inc_clock)
+                    self.step(min(future) - run_state.clock)
                 else:
                     # Nothing moves, nothing arrives, no fault can help: whoever
                     # is still queued can never be admitted.
                     for state in states:
                         if state.lease.state == LEASE_QUEUED:
-                            self.pool.release(state.lease, time=self._inc_clock)
+                            self.pool.release(state.lease, time=run_state.clock)
                             state.lease.state = LEASE_REJECTED
                     break
             else:
@@ -807,7 +863,7 @@ class RackCoSimulator:
 
     def _result(self, max_leased: int) -> RackCoSimResult:
         """Package the finished closed-loop run (tenants in spec order)."""
-        ordered = [self._inc_states[spec.name] for spec in self.tenants]
+        ordered = [self._states[spec.name] for spec in self.tenants]
         interference = {
             s.spec.name: DynamicInterference(
                 s.background_times,
@@ -839,11 +895,11 @@ class RackCoSimulator:
         armed = bool(self._fault_events) or self.pool.elastic
         return RackCoSimResult(
             tenants=outcomes,
-            telemetry=self._inc_telemetry,
+            telemetry=self._telemetry,
             makespan=max((s.finish_time for s in ordered if s.finished), default=0.0),
             pool_capacity_bytes=self.pool.capacity_bytes,
             max_leased_bytes=max_leased,
-            epoch_seconds=self._inc_epoch,
+            epoch_seconds=self._run_state.epoch,
             _interference=interference,
             blast_radius=self.blast_radius() if armed else None,
         )
@@ -858,23 +914,25 @@ class RackCoSimulator:
         inside ``dt`` are honoured: the next phase runs at its own rate (the
         background map, however, is only refreshed at epoch granularity).
         """
+        record = state.progress
+        phases = state.phases
         used = progress = 0.0
-        while used < dt and state.phase_index < len(state.phases):
-            profile = state.phases[state.phase_index]
+        while used < dt and record.phase_index < len(phases):
+            profile = phases[record.phase_index]
             rate = self._progress_rate(state, profile, background)
-            baseline_remaining = profile.runtime - state.phase_elapsed
+            baseline_remaining = profile.runtime - record.phase_elapsed
             wall_needed = baseline_remaining / rate
             if wall_needed <= (dt - used) + 1e-12:
                 used += wall_needed
                 progress += baseline_remaining
-                state.phase_index += 1
-                state.phase_elapsed = 0.0
+                record.phase_index += 1
+                record.phase_elapsed = 0.0
             else:
                 advanced = (dt - used) * rate
-                state.phase_elapsed += advanced
+                record.phase_elapsed += advanced
                 progress += advanced
                 used = dt
-        return progress, (used if state.phase_index >= len(state.phases) else None)
+        return progress, (used if record.phase_index >= len(phases) else None)
 
     # -- incremental (scheduler-driven) API -------------------------------------------
     #
@@ -886,17 +944,17 @@ class RackCoSimulator:
     @property
     def clock(self) -> float:
         """Simulated time of the incrementally-driven co-simulation, seconds."""
-        return self._inc_clock
+        return self._run_state.clock
 
     @property
     def telemetry(self) -> RackTelemetry:
         """Epoch-rollover telemetry of the incrementally-driven co-simulation."""
-        return self._inc_telemetry
+        return self._telemetry
 
     @property
     def tenant_states(self) -> dict:
         """Live per-tenant state, keyed by tenant name (read-only use)."""
-        return dict(self._inc_states)
+        return dict(self._states)
 
     def admit(
         self, spec: TenantSpec, node: Optional[int] = None, time: Optional[float] = None
@@ -907,13 +965,13 @@ class RackCoSimulator:
         requests its pool lease and rolls the epoch over so the new tenant's
         demand is part of the resolved backgrounds immediately.  ``node`` is
         the rack-local node index (first free node when omitted); ``time``
-        may fast-forward an idle rack but can never move the clock backwards.
+        steps the rack forward to it, and a ``time`` in the past raises.
         Returns the tenant's lease so the caller can see whether it was
         granted or queued.
         """
-        if spec.name in self._inc_states:
+        if spec.name in self._states:
             raise FabricError(f"tenant {spec.name!r} is already admitted")
-        occupied = {s.node for s in self._inc_states.values()}
+        occupied = {s.node for s in self._states.values()}
         if node is None:
             free = [n for n in range(self.topology.n_nodes) if n not in occupied]
             if not free:
@@ -925,18 +983,15 @@ class RackCoSimulator:
             )
         elif node in occupied:
             raise FabricError(f"node {node} already hosts a tenant")
-        if time is not None:
-            if time < self._inc_clock - 1e-9:
-                raise FabricError("cannot admit a tenant in the past")
-            if time > self._inc_clock:
-                self.step(time - self._inc_clock)
+        _step_to(self, time, "admit")
         metrics().counter("fabric.cosim.admitted").inc()
+        run_state = self._run_state
         state = _TenantState(spec, node=node)
-        self._profile_tenant(state, self._inc_cache)
-        if self._inc_epoch is None:
-            self._inc_epoch = max(state.baseline_runtime / 40.0, 1e-6)
-        state.lease = self.pool.request(spec.name, spec.lease_bytes, time=self._inc_clock)
-        self._inc_states[spec.name] = state
+        self._profile_tenant(state, run_state.profiles)
+        if run_state.epoch is None:
+            run_state.epoch = max(state.baseline_runtime / 40.0, 1e-6)
+        state.lease = self.pool.request(spec.name, spec.lease_bytes, time=run_state.clock)
+        self._states[spec.name] = state
         if self.pool.elastic:
             # An overcommitting pool may have shrunk co-tenants to fit the
             # newcomer; charge those reclaims before re-resolving the epoch.
@@ -949,16 +1004,16 @@ class RackCoSimulator:
 
         Releasing the lease admits queued co-tenants in FIFO order; the epoch
         is rolled over so the departed tenant's demand stops interfering in
-        the same instant.
+        the same instant.  ``time`` steps the rack forward to it first; a
+        ``time`` in the past raises.
         """
-        if name not in self._inc_states:
+        if name not in self._states:
             raise FabricError(f"no admitted tenant named {name!r}")
-        if time is not None and time > self._inc_clock:
-            self.step(time - self._inc_clock)
+        _step_to(self, time, "withdraw")
         metrics().counter("fabric.cosim.withdrawn").inc()
-        state = self._inc_states.pop(name)
+        state = self._states.pop(name)
         if state.lease is not None and state.lease.state in (LEASE_GRANTED, LEASE_QUEUED):
-            self.pool.release(state.lease, time=self._inc_clock)
+            self.pool.release(state.lease, time=self._run_state.clock)
         self._rollover_epoch(force=True)
 
     def set_background_offset(self, node: int, bandwidth: float) -> None:
@@ -979,32 +1034,24 @@ class RackCoSimulator:
             )
         if bandwidth < 0:
             raise FabricError("background offset must be >= 0")
-        old = self._inc_offsets.get(node, 0.0)
+        run_state = self._run_state
+        old = run_state.offsets.get(node, 0.0)
         if bandwidth > 0:
-            self._inc_offsets[node] = float(bandwidth)
+            run_state.offsets[node] = float(bandwidth)
         else:
-            self._inc_offsets.pop(node, None)
+            run_state.offsets.pop(node, None)
         delta = float(bandwidth) - old
         if delta == 0.0:
             return
-        if node in self._inc_backgrounds:
-            self._inc_backgrounds[node] += delta
-            for state in self._inc_states.values():
-                if state.node != node or not state.running:
-                    continue
-                background = self._inc_backgrounds[node]
-                if (
-                    state.background_times
-                    and state.background_times[-1] >= self._inc_clock - 1e-12
-                ):
-                    state.background_bandwidths[-1] = background
-                else:
-                    state.background_times.append(self._inc_clock)
-                    state.background_bandwidths.append(background)
+        if node in run_state.backgrounds:
+            run_state.backgrounds[node] += delta
+            for state in self._states.values():
+                if state.node == node and state.running:
+                    state.record_background(run_state.clock, run_state.backgrounds[node])
 
     def background_offset(self, node: int) -> float:
         """The external background offset currently imposed on ``node``."""
-        return self._inc_offsets.get(node, 0.0)
+        return self._run_state.offsets.get(node, 0.0)
 
     def baseline_runtime_of(self, name: str) -> float:
         """Interference-free total runtime of an admitted tenant, seconds."""
@@ -1018,14 +1065,14 @@ class RackCoSimulator:
         to a pool port.
         """
         probe = _TenantState(spec, node=0)
-        self._profile_tenant(probe, self._inc_cache)
+        self._profile_tenant(probe, self._run_state.profiles)
         return max((p.offered_bandwidth for p in probe.phases), default=0.0)
 
     def current_demands(self) -> dict[int, float]:
         """Offered pool bandwidth per node of the currently running tenants."""
         return {
             s.node: s.current_offered_bandwidth()
-            for s in self._inc_states.values()
+            for s in self._states.values()
             if s.running
         }
 
@@ -1039,32 +1086,26 @@ class RackCoSimulator:
         0.0** rather than being omitted, so coupled schedulers observe the
         stall instead of falling back to a static estimate.
         """
+        backgrounds = self._run_state.backgrounds
         rates: dict[str, float] = {}
-        for name, state in self._inc_states.items():
-            if self._faults_active and not state.finished:
-                if not state.running and state.revoked_at is not None and (
-                    state.readmit_latency is None
-                ):
-                    # Revoked (or re-queued after revocation): stalled.
-                    rates[name] = 0.0
-                    continue
-                if state.running and (
-                    state.migration_debt > 0.0
-                    or (
-                        self._port_scales
-                        and self._port_scales.get(
-                            self.topology.port_of(state.node), 1.0
-                        )
-                        <= 0.0
-                    )
-                ):
-                    rates[name] = 0.0
-                    continue
-            if not state.running or state.phase_index >= len(state.phases):
+        for name, state in self._states.items():
+            record = state.progress
+            if self._faults_active and (
+                # Revoked (or re-queued after revocation), draining or on a
+                # killed port: stalled.
+                state.awaiting_regrant
+                or (
+                    state.running
+                    and (record.migration_debt > 0.0 or self._port_killed(state.node))
+                )
+            ):
+                rates[name] = 0.0
                 continue
-            profile = state.phases[state.phase_index]
+            if not state.running or record.phase_index >= len(state.phases):
+                continue
+            profile = state.phases[record.phase_index]
             rates[name] = self._progress_rate(
-                state, profile, self._inc_backgrounds.get(state.node, 0.0)
+                state, profile, backgrounds.get(state.node, 0.0)
             )
         return rates
 
@@ -1074,26 +1115,28 @@ class RackCoSimulator:
         Bounded by the next epoch rollover and by the nearest phase boundary
         of any running tenant (a new phase runs at a different rate).
         """
-        if self._inc_epoch is None:
+        run_state = self._run_state
+        if run_state.epoch is None:
             raise FabricError(
                 "the co-simulation has no epoch length yet: pass epoch_seconds "
                 "or admit a tenant first"
             )
-        bound = max(self._inc_epoch - self._inc_epoch_elapsed, 1e-12)
+        bound = max(run_state.epoch - run_state.epoch_elapsed, 1e-12)
         if self._faults_active:
             nxt = self._next_fault_time()
             if nxt is not None:
-                bound = min(bound, max(nxt - self._inc_clock, 1e-12))
-            for state in self._inc_states.values():
-                if state.running and state.migration_debt > 0.0:
+                bound = min(bound, max(nxt - run_state.clock, 1e-12))
+            for state in self._states.values():
+                if state.running and state.progress.migration_debt > 0.0:
                     # The rate flips from 0 back up once the drain finishes.
-                    bound = min(bound, max(state.migration_debt, 1e-12))
+                    bound = min(bound, max(state.progress.migration_debt, 1e-12))
         for name, rate in self.progress_rates().items():
-            state = self._inc_states[name]
-            if state.phase_index >= len(state.phases):
+            state = self._states[name]
+            record = state.progress
+            if record.phase_index >= len(state.phases):
                 continue
-            profile = state.phases[state.phase_index]
-            remaining = max(profile.runtime - state.phase_elapsed, 0.0)
+            profile = state.phases[record.phase_index]
+            remaining = max(profile.runtime - record.phase_elapsed, 0.0)
             if rate > 0:
                 bound = min(bound, remaining / rate)
         return max(bound, 1e-12)
@@ -1101,52 +1144,67 @@ class RackCoSimulator:
     def step(self, dt: float) -> dict[str, float]:
         """Advance the co-simulation ``dt`` wall-seconds.
 
-        :meth:`step_frozen` up to each epoch boundary, then a rollover that
-        re-resolves the backgrounds, so arbitrarily large ``dt`` values are
-        legal — but only steps of at most :meth:`horizon` keep rates piecewise
-        constant for the caller's own bookkeeping.  Tenants finishing inside
-        the step get their ``finish_time`` set and stop demanding bandwidth;
-        their leases stay held until :meth:`withdraw`.  Returns the baseline
-        seconds each tenant completed during the step.
+        The rack's sub-epoch loop: :meth:`step_frozen` up to each epoch
+        boundary, then a rollover that re-resolves the backgrounds, so
+        arbitrarily large ``dt`` values are legal — but only steps of at most
+        :meth:`horizon` keep rates piecewise constant for the caller's own
+        bookkeeping.  Tenants finishing inside the step get their
+        ``finish_time`` set and stop demanding bandwidth; their leases stay
+        held until :meth:`withdraw`.  Returns the baseline seconds each tenant
+        completed during the step.
+        """
+        done = {name: 0.0 for name in self._states}
+        self._step_epochs(dt, done)
+        return done
+
+    def _step_epochs(
+        self, dt: float, done: dict[str, float], rollover: bool = True
+    ) -> None:
+        """The one sub-epoch loop behind :meth:`step` and the cluster's.
+
+        Adds each tenant's baseline seconds to ``done``.  With ``rollover``
+        off, an epoch that ends exactly at ``dt`` is left due: a
+        :class:`~repro.fabric.cluster.ClusterCoSimulator` rolls all due racks
+        over itself at its epoch boundary so their re-solves batch into one
+        call.  A rack whose epoch phase drifted from the cluster's (an
+        admission, withdrawal or fault restarted it) still rolls itself over
+        inside ``dt``.
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
-        if self._inc_epoch is None:
-            return self.step_frozen(dt)
-        done = None
+        run_state = self._run_state
+        if run_state.epoch is None:
+            # Nothing admitted yet: time passes, no work happens.
+            self.step_frozen(dt)
+            return
         remaining = float(dt)
         while remaining > 1e-15:
-            chunk = min(remaining, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
+            chunk = min(remaining, max(run_state.epoch - run_state.epoch_elapsed, 0.0))
             if chunk <= 0:
                 self._rollover_epoch()
                 continue
-            part = self.step_frozen(chunk)
-            if done is None:
-                done = part
-            else:
-                for name, amount in part.items():
-                    done[name] += amount
+            for name, amount in self.step_frozen(chunk).items():
+                done[name] = done.get(name, 0.0) + amount
             remaining -= chunk
-            if self._inc_epoch_elapsed >= self._inc_epoch - 1e-12:
+            if (rollover or remaining > 1e-15) and self.epoch_due():
                 self._rollover_epoch()
-        return done if done is not None else {name: 0.0 for name in self._inc_states}
 
     def step_frozen(self, dt: float) -> dict[str, float]:
         """Advance ``dt`` wall-seconds under the current frozen backgrounds.
 
-        The one intra-epoch kernel, behind :meth:`step` and the cluster's
-        epoch loop (a :class:`~repro.fabric.cluster.ClusterCoSimulator` rolls
-        all due racks over itself so their re-solves batch into one call).
-        ``dt`` must not cross this rack's epoch boundary.  Scheduled faults
-        fire at their exact times inside ``dt``: the kernel sub-chunks there,
-        and each applied fault rolls the epoch over.  A tenant on a killed
-        port, owing migration debt or waiting for a revoked lease stalls.
+        The one intra-epoch kernel, inside the sub-epoch loop of :meth:`step`
+        and of the cluster.  ``dt`` must not cross this rack's epoch boundary.
+        Scheduled faults fire at their exact times inside ``dt``: the kernel
+        sub-chunks there, and each applied fault rolls the epoch over.  A
+        tenant on a killed port, owing migration debt or waiting for a
+        revoked lease stalls.
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
+        run_state = self._run_state
         if (
-            self._inc_epoch is not None
-            and dt > max(self._inc_epoch - self._inc_epoch_elapsed, 0.0) + 1e-12
+            run_state.epoch is not None
+            and dt > max(run_state.epoch - run_state.epoch_elapsed, 0.0) + 1e-12
         ):
             raise FabricError(
                 "step_frozen cannot cross an epoch boundary; roll the epoch "
@@ -1155,7 +1213,8 @@ class RackCoSimulator:
         registry = metrics()
         registry.counter("fabric.cosim.step_calls").inc()
         registry.counter("fabric.cosim.stepped_seconds").inc(dt)
-        done = {name: 0.0 for name in self._inc_states}
+        states = self._states
+        done = {name: 0.0 for name in states}
         remaining = float(dt)
         while remaining > 1e-15:
             chunk = remaining
@@ -1164,88 +1223,61 @@ class RackCoSimulator:
                 self._apply_due_faults()
                 nxt = self._next_fault_time()
                 if nxt is not None:
-                    chunk = min(chunk, max(nxt - self._inc_clock, 0.0))
-            for state in [s for s in self._inc_states.values() if s.running]:
+                    chunk = min(chunk, max(nxt - run_state.clock, 0.0))
+            # An applied fault re-resolves, so read the backgrounds per chunk.
+            backgrounds = run_state.backgrounds
+            for state in [s for s in states.values() if s.running]:
                 avail = self._fault_chunk_available(state, chunk) if faulted else chunk
                 if avail <= 0.0:
                     continue
                 progress, used = self._advance(
-                    state, self._inc_backgrounds.get(state.node, 0.0), avail
+                    state, backgrounds.get(state.node, 0.0), avail
                 )
                 done[state.spec.name] += progress
-                if used is not None and state.finish_time is None:
-                    state.finish_time = self._inc_clock + (chunk - avail) + used
+                if used is not None and state.progress.finish_time is None:
+                    state.progress.finish_time = run_state.clock + (chunk - avail) + used
             if faulted:
-                for state in self._inc_states.values():
+                for state in states.values():
                     # Between revocation and re-grant (the lease is REVOKED
                     # or back in the queue) the tenant makes no progress.
-                    if (
-                        not state.finished
-                        and not state.running
-                        and state.revoked_at is not None
-                        and state.readmit_latency is None
-                    ):
+                    if state.awaiting_regrant:
                         self._record_stall(state, chunk)
-            self._inc_clock += chunk
-            if self._inc_epoch is not None:
-                self._inc_epoch_elapsed += chunk
+            run_state.clock += chunk
+            if run_state.epoch is not None:
+                run_state.epoch_elapsed += chunk
             remaining -= chunk
         return done
 
     def epoch_due(self) -> bool:
         """Whether the current epoch has fully elapsed (a rollover is due)."""
+        run_state = self._run_state
         return (
-            self._inc_epoch is not None
-            and self._inc_epoch_elapsed >= self._inc_epoch - 1e-12
+            run_state.epoch is not None
+            and run_state.epoch_elapsed >= run_state.epoch - 1e-12
         )
 
     def checkpoint(self) -> EpochCheckpoint:
-        """Snapshot the epoch state for a later :meth:`rollover`."""
+        """Snapshot the run state and every tenant's progress for :meth:`rollover`."""
         metrics().counter("fabric.cosim.checkpoints").inc()
-        ordered = sorted(self._inc_states.items())
+        ordered = sorted(self._states.items())
         return EpochCheckpoint(
-            clock=self._inc_clock,
-            epoch_elapsed=self._inc_epoch_elapsed,
-            backgrounds=tuple(sorted(self._inc_backgrounds.items())),
-            tenants=tuple(
-                (name, s.phase_index, s.phase_elapsed, s.finish_time)
-                for name, s in ordered
-            ),
+            run_state=self._run_state.copy(),
+            progress=tuple((name, replace(s.progress)) for name, s in ordered),
             histories=tuple((name, len(s.background_times)) for name, s in ordered),
-            offsets=tuple(sorted(self._inc_offsets.items())),
-            solve_key=self._inc_solve_key,
             fault_epoch=self._fault_mutations,
-            fault_tenants=(
-                tuple(
-                    (
-                        name,
-                        s.stall_seconds,
-                        s.migration_debt,
-                        s.revoked_at,
-                        s.readmit_latency,
-                        s.revocations,
-                        s.migrated_bytes,
-                        s.first_granted_at,
-                    )
-                    for name, s in ordered
-                )
-                if self._faults_active
-                else ()
-            ),
         )
 
     def rollover(self, checkpoint: EpochCheckpoint) -> None:
         """Roll the co-simulation back to a previously captured checkpoint.
 
-        Restores the clock, the intra-epoch elapsed time, the frozen
-        backgrounds and every tenant's phase progress, and trims background /
-        telemetry timelines recorded after the checkpoint.  Only legal while
-        the tenant mix is unchanged — :meth:`admit` and :meth:`withdraw`
-        mutate the pool's lease table, which a checkpoint deliberately does
-        not capture.
+        Restores copies of the run state and of every tenant's progress
+        record (so one checkpoint can be rolled back to repeatedly), and
+        trims background / telemetry timelines recorded after the
+        checkpoint.  Only legal while the tenant mix is unchanged —
+        :meth:`admit` and :meth:`withdraw` mutate the pool's lease table,
+        which a checkpoint deliberately does not capture.
         """
-        names = {entry[0] for entry in checkpoint.tenants}
-        if names != set(self._inc_states):
+        if {name for name, _ in checkpoint.progress} != set(self._states):
             raise FabricError(
                 "checkpoint does not match the current tenant mix; checkpoints "
                 "are invalidated by admit() and withdraw()"
@@ -1256,32 +1288,16 @@ class RackCoSimulator:
                 "mutates pool and lease state that checkpoints do not capture, "
                 "so rollback is only legal while faults are merely pending"
             )
-        self._inc_clock = checkpoint.clock
-        self._inc_epoch_elapsed = checkpoint.epoch_elapsed
-        self._inc_backgrounds = dict(checkpoint.backgrounds)
-        self._inc_offsets = dict(checkpoint.offsets)
-        self._inc_solve_key = checkpoint.solve_key
-        for name, phase_index, phase_elapsed, finish_time in checkpoint.tenants:
-            state = self._inc_states[name]
-            state.phase_index = phase_index
-            state.phase_elapsed = phase_elapsed
-            state.finish_time = finish_time
-        for entry in checkpoint.fault_tenants:
-            state = self._inc_states[entry[0]]
-            (
-                state.stall_seconds,
-                state.migration_debt,
-                state.revoked_at,
-                state.readmit_latency,
-                state.revocations,
-                state.migrated_bytes,
-                state.first_granted_at,
-            ) = entry[1:]
+        # A checkpoint taken before the first admission must not unset the
+        # epoch length a later admission derived.
+        self._run_state = checkpoint.run_state.copy(epoch=self._run_state.epoch)
+        for name, record in checkpoint.progress:
+            self._states[name].progress = replace(record)
         for name, length in checkpoint.histories:
-            state = self._inc_states[name]
+            state = self._states[name]
             del state.background_times[length:]
             del state.background_bandwidths[length:]
-        self._inc_telemetry.trim_after(checkpoint.clock)
+        self._telemetry.trim_after(checkpoint.clock)
         metrics().counter("fabric.cosim.rollbacks").inc()
 
     # -- fault injection / elastic leasing --------------------------------------------
@@ -1338,11 +1354,17 @@ class RackCoSimulator:
         """Residual capacity fraction of a pool port: 1.0 healthy, 0.0 killed."""
         return self._port_scales.get(port, 1.0)
 
+    def _port_killed(self, node: int) -> bool:
+        """Whether ``node``'s pool port is dead (cheap while all are healthy)."""
+        return bool(self._port_scales) and (
+            self._port_scales.get(self.topology.port_of(node), 1.0) <= 0.0
+        )
+
     def _apply_due_faults(self) -> None:
         """Apply every scheduled event whose simulated time has been reached."""
         while True:
             nxt = self._next_fault_time()
-            if nxt is None or nxt > self._inc_clock + 1e-12:
+            if nxt is None or nxt > self._run_state.clock + 1e-12:
                 return
             event = self._fault_events[self._fault_cursor]
             self._fault_cursor += 1
@@ -1379,16 +1401,16 @@ class RackCoSimulator:
             else:
                 self._port_scales.pop(event.port, None)
         elif kind in (FAULT_LEASE_REVOKE, FAULT_LEASE_SHRINK):
-            state = self._inc_states.get(event.tenant)
+            state = self._states.get(event.tenant)
             if state is not None and state.running:
                 if kind == FAULT_LEASE_REVOKE:
-                    self.pool.revoke(state.lease, time=self._inc_clock)
+                    self.pool.revoke(state.lease, time=self._run_state.clock)
                 else:
                     self.pool.shrink(
-                        state.lease, int(event.nbytes), time=self._inc_clock
+                        state.lease, int(event.nbytes), time=self._run_state.clock
                     )
         elif kind == FAULT_POOL_CAPACITY_LOSS:
-            self.pool.lose_capacity(int(event.nbytes), time=self._inc_clock)
+            self.pool.lose_capacity(int(event.nbytes), time=self._run_state.clock)
         self._consume_pool_reclaims()
         self._rollover_epoch(force=True)
 
@@ -1406,22 +1428,23 @@ class RackCoSimulator:
         self._faults_active = True
         registry = metrics()
         for record in records:
-            state = self._inc_states.get(record.tenant)
+            state = self._states.get(record.tenant)
             if state is None:
                 continue
-            state.migration_debt += record.nbytes / self._drain_bytes_per_s
-            state.migrated_bytes += record.nbytes
+            progress = state.progress
+            progress.migration_debt += record.nbytes / self._drain_bytes_per_s
+            progress.migrated_bytes += record.nbytes
             registry.counter("fabric.faults.migrated_bytes").inc(record.nbytes)
             if record.kind == "revoke":
                 if (
-                    state.first_granted_at is None
+                    progress.first_granted_at is None
                     and state.lease is not None
                     and state.lease.granted_at is not None
                 ):
-                    state.first_granted_at = state.lease.granted_at
-                state.revoked_at = record.time
-                state.readmit_latency = None
-                state.revocations += 1
+                    progress.first_granted_at = state.lease.granted_at
+                progress.revoked_at = record.time
+                progress.readmit_latency = None
+                progress.revocations += 1
                 registry.counter("fabric.faults.revocations").inc()
 
     def _retry_revoked(self) -> None:
@@ -1434,35 +1457,36 @@ class RackCoSimulator:
         blast radius is the migration drain.
         """
         changed = False
-        for name, state in self._inc_states.items():
+        for name, state in self._states.items():
             if (
                 state.lease is not None
                 and state.lease.state == LEASE_REVOKED
                 and not state.finished
             ):
                 state.lease = self.pool.request(
-                    name, state.spec.lease_bytes, time=self._inc_clock
+                    name, state.spec.lease_bytes, time=self._run_state.clock
                 )
                 self._fault_mutations += 1
                 changed = True
         if changed:
             self._consume_pool_reclaims()
-        for state in self._inc_states.values():
+        for state in self._states.values():
+            progress = state.progress
             if (
-                state.revoked_at is not None
-                and state.readmit_latency is None
+                progress.revoked_at is not None
+                and progress.readmit_latency is None
                 and state.lease is not None
                 and state.lease.state == LEASE_GRANTED
                 and state.lease.granted_at is not None
-                and state.lease.granted_at >= state.revoked_at
+                and state.lease.granted_at >= progress.revoked_at
             ):
-                state.readmit_latency = state.lease.granted_at - state.revoked_at
+                progress.readmit_latency = state.lease.granted_at - progress.revoked_at
                 metrics().counter("fabric.faults.readmissions").inc()
 
     def _record_stall(self, state: _TenantState, seconds: float) -> None:
         if seconds <= 0:
             return
-        state.stall_seconds += seconds
+        state.progress.stall_seconds += seconds
         metrics().counter("fabric.faults.stall_seconds").inc(seconds)
 
     def _fault_chunk_available(self, state: _TenantState, chunk: float) -> float:
@@ -1472,42 +1496,42 @@ class RackCoSimulator:
         debt pays it down first (stalled while its pages drain) and runs with
         whatever remains of the chunk.
         """
-        if self._port_scales and (
-            self._port_scales.get(self.topology.port_of(state.node), 1.0) <= 0.0
-        ):
+        if self._port_killed(state.node):
             self._record_stall(state, chunk)
             return 0.0
-        if state.migration_debt > 0.0:
-            pay = min(state.migration_debt, chunk)
-            state.migration_debt -= pay
-            if state.migration_debt < 1e-12:
-                state.migration_debt = 0.0
+        progress = state.progress
+        if progress.migration_debt > 0.0:
+            pay = min(progress.migration_debt, chunk)
+            progress.migration_debt -= pay
+            if progress.migration_debt < 1e-12:
+                progress.migration_debt = 0.0
             self._record_stall(state, pay)
             return chunk - pay
         return chunk
 
     def _impact_of(self, state: _TenantState) -> TenantImpact:
+        progress = state.progress
         return TenantImpact(
             name=state.spec.name,
-            stall_seconds=state.stall_seconds,
-            revocations=state.revocations,
-            readmission_latency=state.readmit_latency,
-            migrated_bytes=state.migrated_bytes,
-            throughput_lost=state.stall_seconds,
+            stall_seconds=progress.stall_seconds,
+            revocations=progress.revocations,
+            readmission_latency=progress.readmit_latency,
+            migrated_bytes=progress.migrated_bytes,
+            throughput_lost=progress.stall_seconds,
         )
 
     def blast_radius(self) -> BlastRadiusReport:
         """Damage assessment of the fault layer so far (deterministic)."""
-        states = sorted(self._inc_states.items())
+        states = sorted(self._states.items())
         return BlastRadiusReport(
             faults_injected=self._faults_applied,
-            revocations=sum(s.revocations for _, s in states),
+            revocations=sum(s.progress.revocations for _, s in states),
             tenants=tuple(self._impact_of(s) for _, s in states),
         )
 
     def _state_of(self, name: str) -> _TenantState:
         try:
-            return self._inc_states[name]
+            return self._states[name]
         except KeyError as exc:
             raise FabricError(f"no admitted tenant named {name!r}") from exc
 
@@ -1548,22 +1572,25 @@ class RackCoSimulator:
         registry.counter("fabric.cosim.epoch_rollovers").inc()
         if self._faults_active:
             self._retry_revoked()
-        running = [s for s in self._inc_states.values() if s.running]
+        running = [s for s in self._states.values() if s.running]
         # Tenants on killed ports demand nothing (they are stalled), and port
         # health is part of the solve signature so restoring or degrading a
         # port can never be skipped as "unchanged".
         demands = {
             s.node: s.current_offered_bandwidth()
             for s in running
-            if not self._port_scales
-            or self._port_scales.get(self.topology.port_of(s.node), 1.0) > 0.0
+            if not self._port_killed(s.node)
         }
         solve_key: tuple = (
             tuple(sorted(demands.items())),
-            tuple(sorted(self._inc_offsets.items())),
+            tuple(sorted(self._run_state.offsets.items())),
             tuple(sorted(self._port_scales.items())),
         )
-        if not force and self.skip_unchanged_epochs and solve_key == self._inc_solve_key:
+        if (
+            not force
+            and self.skip_unchanged_epochs
+            and solve_key == self._run_state.solve_key
+        ):
             registry.counter("fabric.cosim.epoch_skips").inc()
             return running, demands, None
         registry.counter("fabric.cosim.epoch_resolves").inc()
@@ -1576,9 +1603,10 @@ class RackCoSimulator:
         solve_key: tuple,
     ) -> None:
         """Freeze new epoch backgrounds from a resolved allocation."""
-        self._inc_backgrounds = {
+        run_state = self._run_state
+        backgrounds = {
             s.node: self.topology.background_for(s.node, delivered)
-            + self._inc_offsets.get(s.node, 0.0)
+            + run_state.offsets.get(s.node, 0.0)
             for s in running
         }
         if self._port_scales:
@@ -1588,33 +1616,28 @@ class RackCoSimulator:
                 port = self.topology.port_of(s.node)
                 scale = self._port_scales.get(port, 1.0)
                 if scale < 1.0:
-                    self._inc_backgrounds[s.node] += (
+                    backgrounds[s.node] += (
                         1.0 - scale
                     ) * self.topology.ports[port].data_capacity
-        self._inc_solve_key = solve_key
+        run_state.backgrounds = backgrounds
+        run_state.solve_key = solve_key
 
     def _complete_rollover(
         self, running: list[_TenantState], demands: Mapping[int, float]
     ) -> None:
         """Restart the epoch and record background history + telemetry."""
-        self._inc_epoch_elapsed = 0.0
+        run_state = self._run_state
+        run_state.epoch_elapsed = 0.0
+        clock = run_state.clock
         for state in running:
-            background = self._inc_backgrounds[state.node]
-            if (
-                state.background_times
-                and state.background_times[-1] >= self._inc_clock - 1e-12
-            ):
-                state.background_bandwidths[-1] = background
-            else:
-                state.background_times.append(self._inc_clock)
-                state.background_bandwidths.append(background)
+            state.record_background(clock, run_state.backgrounds[state.node])
         if running:
-            telemetry = self._inc_telemetry
-            if telemetry.times and telemetry.times[-1] >= self._inc_clock - 1e-12:
+            telemetry = self._telemetry
+            if telemetry.times and telemetry.times[-1] >= clock - 1e-12:
                 telemetry.drop_last()
             ports = {self.topology.port_of(s.node) for s in running}
             telemetry.record(
-                self.pool.sample(self._inc_clock),
+                self.pool.sample(clock),
                 utilization=max(
                     self.topology.port_utilization(p, demands) for p in ports
                 ),

@@ -129,6 +129,66 @@ class TestCheckpoint:
         with pytest.raises(FabricError, match="rack count"):
             large.rollover(small.checkpoint())
 
+    def test_rollback_mid_migration_drain_replays_bit_identically(self, xsbench_spec):
+        # The second admission shrinks the first tenant's elastic rack lease,
+        # so the first tenant owes a page drain.
+        first_tenant, second_tenant = uniform_tenants(xsbench_spec, 2)
+        fabric = ClusterFabric(n_racks=2, nodes_per_rack=2)
+        sim = ClusterCoSimulator(
+            fabric, rack_pool_bytes=int(1.5 * first_tenant.lease_bytes), overcommit=True
+        )
+        sim.admit(0, first_tenant)
+        sim.step(sim.horizon())
+        sim.admit(0, second_tenant)
+        rack = sim.rack_sim(0)
+        drain = rack.tenant_states[first_tenant.name].progress.migration_debt
+        sim.step(drain / 2)
+        checkpoint = sim.checkpoint()
+
+        def replay():
+            steps = [sim.step(drain), sim.step(100 * sim.epoch_seconds)]
+            return steps, {
+                name: (
+                    state.progress.stall_seconds,
+                    state.progress.migration_debt,
+                    state.progress.migrated_bytes,
+                    state.finish_time,
+                )
+                for name, state in rack.tenant_states.items()
+            }
+
+        first = replay()
+        sim.rollover(checkpoint)
+        assert replay() == first
+        stall, debt, migrated, finish = first[1][first_tenant.name]
+        assert stall == pytest.approx(drain) and debt == 0.0
+        assert migrated > 0 and finish is not None
+
+
+class TestPastTimes:
+    """admit()/withdraw() reject a time more than 1 ns behind the clock."""
+
+    def test_admit_in_the_past_rejected(self, xsbench_spec):
+        sim = build_cluster()
+        first, second = uniform_tenants(xsbench_spec, 2)
+        sim.admit(0, first)
+        sim.step(5.0)
+        with pytest.raises(FabricError, match="in the past"):
+            sim.admit(0, second, time=2.0)
+        assert sim.tenant_names == (first.name,)
+        sim.admit(0, second, time=sim.clock - 1e-12)  # within the tolerance
+        assert sim.clock == 5.0
+
+    def test_withdraw_in_the_past_rejected(self, xsbench_spec):
+        sim = build_cluster()
+        (tenant,) = uniform_tenants(xsbench_spec, 1)
+        sim.admit(0, tenant)
+        sim.step(5.0)
+        with pytest.raises(FabricError, match="in the past"):
+            sim.withdraw(tenant.name, time=2.0)
+        assert sim.tenant_names == (tenant.name,)
+        sim.withdraw(tenant.name, time=6.0)
+        assert sim.clock == 6.0 and sim.tenant_names == ()
 
 class TestDirtyRackTracking:
     def test_idle_racks_skip_resolves(self, xsbench_spec, telemetry_on):

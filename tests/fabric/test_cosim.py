@@ -362,7 +362,7 @@ class TestIncrementalStepping:
         checkpoint = inc.checkpoint()
         first = inc.step(0.7)
         first_states = {
-            name: (s.phase_index, s.phase_elapsed, s.finish_time)
+            name: (s.progress.phase_index, s.progress.phase_elapsed, s.finish_time)
             for name, s in inc.tenant_states.items()
         }
         inc.rollover(checkpoint)
@@ -370,7 +370,7 @@ class TestIncrementalStepping:
         second = inc.step(0.7)
         assert first == second
         second_states = {
-            name: (s.phase_index, s.phase_elapsed, s.finish_time)
+            name: (s.progress.phase_index, s.progress.phase_elapsed, s.finish_time)
             for name, s in inc.tenant_states.items()
         }
         assert first_states == second_states
@@ -397,6 +397,15 @@ class TestIncrementalStepping:
         with pytest.raises(FabricError):
             inc.rollover(checkpoint)
 
+    def test_rollover_keeps_the_derived_epoch_length(self):
+        inc = self._incremental(1)
+        checkpoint = inc.checkpoint()  # taken before any epoch length exists
+        spec = TenantSpec(name="a", workload=bandwidth_hungry_spec(), local_fraction=0.5)
+        inc.admit(spec)
+        inc.withdraw("a")
+        inc.rollover(checkpoint)
+        assert inc.horizon() > 0  # raises if the rollback unset the epoch
+
     def test_admit_validation(self):
         spec = bandwidth_hungry_spec()
         inc = self._incremental(1)
@@ -420,6 +429,16 @@ class TestIncrementalStepping:
                 TenantSpec(name="b", workload=spec, local_fraction=0.5), time=0.5
             )
 
+    def test_withdraw_in_the_past_rejected(self):
+        spec = bandwidth_hungry_spec()
+        inc = self._incremental(1)
+        inc.admit(TenantSpec(name="a", workload=spec, local_fraction=0.5))
+        inc.step(1.0)
+        with pytest.raises(FabricError, match="in the past"):
+            inc.withdraw("a", time=0.5)
+        assert "a" in inc.tenant_states
+        inc.withdraw("a", time=inc.clock - 1e-12)  # within the 1 ns tolerance
+        assert "a" not in inc.tenant_states
 
 class TestResultReporting:
     def test_summary_structure(self):

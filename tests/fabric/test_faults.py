@@ -337,6 +337,39 @@ class TestCheckpointContract:
             sim.rollover(checkpoint)
 
 
+    def test_rollback_mid_migration_drain_replays_bit_identically(self):
+        # t1's admission shrinks t0's elastic lease, so t0 owes a page drain.
+        specs = tenants(2)
+        lease = specs[0].lease_bytes
+        pool = MemoryPool(int(1.5 * lease), elastic=True, min_lease_fraction=0.5)
+        sim = RackCoSimulator.incremental(n_nodes=2, pool=pool, epoch_seconds=0.05)
+        sim.admit(specs[0])
+        sim.step(0.1)
+        sim.admit(specs[1])
+        sim.step(0.005)
+        assert sim.tenant_states["t0"].progress.migration_debt > 0.0  # mid-drain
+        checkpoint = sim.checkpoint()
+        first = [sim.step(0.05), sim.step(5.0)], drain_accounting(sim)
+        sim.rollover(checkpoint)
+        second = [sim.step(0.05), sim.step(5.0)], drain_accounting(sim)
+        assert second == first
+        stall, debt, migrated, finish = first[1]["t0"]
+        assert stall > 0.0 and debt == 0.0 and migrated > 0 and finish is not None
+
+
+def drain_accounting(rack_sim):
+    """Per-tenant migration accounting and finish time, for exact comparison."""
+    return {
+        name: (
+            state.progress.stall_seconds,
+            state.progress.migration_debt,
+            state.progress.migrated_bytes,
+            state.finish_time,
+        )
+        for name, state in rack_sim.tenant_states.items()
+    }
+
+
 class TestSchedulerVisibility:
     def test_killed_port_reports_zero_rates_and_health(self):
         sim = RackCoSimulator.incremental(n_nodes=2, epoch_seconds=0.5)

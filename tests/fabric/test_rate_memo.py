@@ -172,9 +172,9 @@ def test_profile_cache_ignores_an_entry_of_a_dead_workload():
     sim = RackCoSimulator.incremental(n_nodes=2)
     stale = RackCoSimulator.incremental(n_nodes=1)
     probe = _TenantState(TenantSpec("probe", hypre), node=0)
-    stale._profile_tenant(probe, stale._inc_cache)
-    (entry,) = stale._inc_cache.values()
-    sim._inc_cache[(id(xsbench), 0.5)] = entry
+    stale._profile_tenant(probe, stale._run_state.profiles)
+    (entry,) = stale._run_state.profiles.values()
+    sim._run_state.profiles[(id(xsbench), 0.5)] = entry
 
     sim.admit(TenantSpec("x", xsbench), node=0)
     state = sim.tenant_states["x"]
